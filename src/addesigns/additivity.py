@@ -5,6 +5,8 @@ k-subsets of the embedded point set are exactly the blocks).
 
 import math
 
+import numpy as np
+
 from . import gf
 from .designs import validate_2design
 from .errors import (
@@ -16,10 +18,12 @@ from .errors import (
     NotSubspaceBlocks,
     NotSymmetric,
     SizeMismatch,
+    TooLarge,
 )
 from .geometry import ag_points, bracket, enumerate_subspaces, pg_points
 
 DEFAULT_STRONG_CAP = 10 ** 7
+_STRONG_CHUNK = 10 ** 5  # elements (rows x t) one numpy call of verify_strong touches
 
 
 class AbelianGroup:
@@ -135,6 +139,13 @@ class Report:
             self.injective, self.additive, self.strong)
 
 
+def _injective(emb):
+    """Return emb, or raise GroupMismatch if two points share an image."""
+    if not emb.injective:
+        raise GroupMismatch("%s embedding maps two points to one element" % emb.kind)
+    return emb
+
+
 def _additivity_label(group, v):
     if group.order == v:
         return "strict"
@@ -149,9 +160,7 @@ def _complement_matrix_embedding(v, blocks, modulus, kind, meta):
     image = [
         tuple(0 if i in blk else 1 for blk in membership) for i in range(v)
     ]
-    emb = Embedding(group, image, kind, meta)
-    assert emb.injective
-    return emb
+    return _injective(Embedding(group, image, kind, meta))
 
 
 def symmetric_strong_embedding(design):
@@ -181,7 +190,8 @@ def pg_strong_embedding(n, q, d):
         raise DimensionOutOfRange("need 1 <= d <= n-1")
     v = bracket(n + 1, q)
     pts = pg_points(n, q)
-    assert len(pts) == v
+    if len(pts) != v:
+        raise SizeMismatch("PG(%d,%d) has %d points, expected %d" % (n, q, len(pts), v))
     hyperplanes = [s.point_indices() for s in enumerate_subspaces(n, q, n - 1)]
     return _complement_matrix_embedding(
         v, hyperplanes, q ** d, "pg-strong", {"n": n, "q": q, "d": d},
@@ -229,9 +239,7 @@ def cyclic_embedding(ds, p, poly=None):
         "sigma_1": list(sigma[1].coeffs),
         "sigma_-1": list(sigma[-1].coeffs),
     }
-    emb = Embedding(group, image, "cyclic-smooth", meta)
-    assert emb.injective
-    return emb
+    return _injective(Embedding(group, image, "cyclic-smooth", meta))
 
 
 def sigma_product_is_zero(ds, p):
@@ -267,9 +275,8 @@ def subspace_embedding(m, q, design, poly=None):
     big = field.q - 1
     group = AbelianGroup(p, alpha * m)
     image = [field.coeffs_of_code(field._exp[(i * (q - 1)) % big]) for i in range(v)]
-    emb = Embedding(group, image, "subspace-smooth",
-                    {"q": q, "m": m, "poly": list(field.prim_poly)})
-    assert emb.injective
+    emb = _injective(Embedding(group, image, "subspace-smooth",
+                               {"q": q, "m": m, "poly": list(field.prim_poly)}))
     for idx, blk in enumerate(design.blocks):
         if not zero_sum(group, [image[i] for i in blk]):
             raise NotSubspaceBlocks(
@@ -290,9 +297,7 @@ def ag_identity_embedding(n, q):
         for code in vec:
             flat.extend(field.coeffs_of_code(code))
         image.append(tuple(flat))
-    emb = Embedding(group, image, "identity", {"n": n, "q": q})
-    assert emb.injective
-    return emb
+    return _injective(Embedding(group, image, "identity", {"n": n, "q": q}))
 
 
 def verify_embedding(design, emb):
@@ -321,46 +326,112 @@ def verify_embedding(design, emb):
     )
 
 
-def verify_strong(design, emb, cap=DEFAULT_STRONG_CAP):
-    """Enumerate all k-subsets of the point set and compare the zero-sum
-    ones against the block set.
+def _residue_dtype(m):
+    """The narrowest unsigned dtype that holds the sum of two residues mod m."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if 2 * (m - 1) <= np.iinfo(dtype).max:
+            return dtype
+    return np.uint64
 
-    Uses lexicographic enumeration with partial sums carried down the
-    recursion.  If C(v,k) exceeds cap the strong check is reported as
-    skipped, not failed.
+
+def _reduce(s, m):
+    """s mod m for unsigned s < 2m: where s < m, s - m wraps above s."""
+    return np.minimum(s, s - m)
+
+
+def _zero_sum_subsets(image, m, k):
+    """Yield each zero-sum k-subset of the rows of image as a sorted tuple.
+
+    image is a (v, t) array of residues mod m in _residue_dtype(m).  A
+    k-subset S + {x} with max(S) < x is zero-sum iff image[x] = -sum(S),
+    so only the (k-1)-subsets S are enumerated, with their negated sums
+    carried down, and the completing points x are looked up in the image
+    rows sorted as byte strings, which keeps every point of a repeated
+    row.  The leading points of S are chosen in Python; its last (up to)
+    two come from a lexicographic table handled _STRONG_CHUNK elements at
+    a time in numpy.
+    """
+    v, t = image.shape
+    if k == 0:
+        yield ()
+        return
+    neg = _reduce(m - image, m)
+    row = np.dtype((np.void, t * image.itemsize))
+    keys = np.ascontiguousarray(image).view(row).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    width = min(k - 1, 2)
+    if width == 2:
+        tail = np.column_stack(np.triu_indices(v, 1))
+    elif width == 1:
+        tail = np.arange(v).reshape(v, 1)
+    else:
+        tail = np.zeros((1, 0), dtype=np.intp)
+    last = tail[:, -1] if width else np.full(1, -1)
+    starts = np.searchsorted(tail[:, 0], np.arange(v), "right") if width else None
+    lead = k - 1 - width
+    step = max(1, _STRONG_CHUNK // t)
+
+    def complete(prefix, partial, first):
+        for c in range(first, len(tail), step):
+            rows = tail[c:c + step]
+            target = np.broadcast_to(partial, (len(rows), t))
+            for j in range(width):
+                target = _reduce(target + neg[rows[:, j]], m)
+            wanted = np.ascontiguousarray(target).view(row).ravel()
+            lo = keys.searchsorted(wanted, "left")
+            count = keys.searchsorted(wanted, "right") - lo
+            hit = np.flatnonzero(count)
+            if not hit.size:
+                continue
+            n = count[hit]
+            rep = np.repeat(hit, n)
+            xs = order[np.arange(rep.size) + np.repeat(lo[hit] - np.cumsum(n) + n, n)]
+            keep = xs > last[c + rep]
+            for body, x in zip(rows[rep[keep]].tolist(), xs[keep].tolist()):
+                yield prefix + tuple(body) + (x,)
+
+    def descend(start, prefix, partial):
+        depth = len(prefix)
+        if depth == lead:
+            yield from complete(prefix, partial, starts[prefix[-1]] if prefix else 0)
+            return
+        # leave room for the remaining k - depth - 1 picks
+        for i in range(start, v - (k - depth) + 1):
+            yield from descend(i + 1, prefix + (i,), _reduce(partial + neg[i], m))
+
+    yield from descend(0, (), np.zeros(t, image.dtype))
+
+
+def verify_strong(design, emb, cap=DEFAULT_STRONG_CAP):
+    """Compare the blocks against the zero-sum k-subsets of the embedded
+    point set.
+
+    The work is about C(v,k-1) lookups (see _zero_sum_subsets), and each
+    zero-sum set is checked against the blocks as it is found.  If C(v,k)
+    exceeds cap the strong check is reported as skipped, not failed.
     """
     base = verify_embedding(design, emb)
     k = design.k if design.validated else len(design.blocks[0])
     v = design.v
     if math.comb(v, k) > cap:
         return base
-    group = emb.group
-    m, t = group.m, group.t
-    image = emb.image
-    zero = (0,) * t
-    found = []
-
-    def extend(start, chosen, partial):
-        depth = len(chosen)
-        if depth == k:
-            if partial == zero:
-                found.append(tuple(chosen))
-            return
-        # leave room for the remaining k - depth - 1 picks
-        for i in range(start, v - (k - depth) + 1):
-            row = image[i]
-            chosen.append(i)
-            extend(i + 1, chosen, tuple((a + b) % m for a, b in zip(partial, row)))
-            chosen.pop()
-
-    extend(0, [], zero)
-    zero_sets = {frozenset(s) for s in found}
-    strong = "pass" if zero_sets == design.block_sets() else "fail"
+    m, t = emb.group.m, emb.group.t
+    if k * m > np.iinfo(np.int64).max:
+        raise TooLarge("modulus %d is too large for the strong check" % m)
+    image = np.array(emb.image, dtype=_residue_dtype(m)).reshape(v, t)
+    blocks = set(design.blocks)
+    found = 0
+    stray = False
+    for subset in _zero_sum_subsets(image, m, k):
+        found += 1
+        stray = stray or subset not in blocks
+    strong = "pass" if not stray and found == len(blocks) else "fail"
     return Report(
         injective=base.injective,
         additive=base.additive,
         strong=strong,
-        zero_sum_subsets=len(found),
+        zero_sum_subsets=found,
         blocks=base.blocks,
         failures=base.failures,
         label=base.label,

@@ -34,11 +34,16 @@ def _load(path):
         return json.load(fh)
 
 
+def _design_from_doc(doc):
+    design = designs.Design.from_dict(doc)
+    return design if design.validated else designs.validate_2design(design)
+
+
 def _design_from_file(path):
     doc = _load(path)
     if "blocks" not in doc:
         raise SizeMismatch("%s is not a design document" % path)
-    return designs.validate_2design(designs.Design.from_dict(doc))
+    return _design_from_doc(doc)
 
 
 def _diffset_from_file(path):
@@ -133,7 +138,7 @@ def cmd_verify(args):
 def cmd_info(args):
     doc = _load(args.file)
     if "blocks" in doc:
-        design = designs.validate_2design(designs.Design.from_dict(doc))
+        design = _design_from_doc(doc)
         sys.stdout.write(repr(design) + "\n")
     elif "set" in doc:
         ds = designs.validate_difference_set(doc["v"], doc["set"])
@@ -188,8 +193,6 @@ def build_parser():
                      help="also compare blocks against all zero-sum k-subsets")
     ver.add_argument("--cap", type=int, default=additivity.DEFAULT_STRONG_CAP,
                      help="maximum C(v,k) for the strong enumeration")
-    ver.add_argument("--jobs", type=int, default=1,
-                     help="worker count; output is identical for any value")
     ver.add_argument("--out")
     ver.set_defaults(func=cmd_verify)
 

@@ -59,9 +59,17 @@ class Design:
 
     @classmethod
     def from_dict(cls, d):
+        """Read a design; a document that claims k (and lambda) is
+        validated, and the claims must match what its blocks give."""
         design = cls(d["v"], d["blocks"], d.get("points"))
         if "k" in d:
             design = validate_2design(design)
+            claimed = (d["k"], d.get("lambda", design.lam))
+            if claimed != (design.k, design.lam):
+                raise NotTwoDesign(
+                    "document claims (k, lambda) = (%s, %s), blocks give (%d, %d)"
+                    % (claimed + (design.k, design.lam))
+                )
         return design
 
     def __repr__(self):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from addesigns import designs
 from addesigns.cli import main
 
 
@@ -132,15 +133,71 @@ def test_outputs_are_bit_identical_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_jobs_flag_is_deterministic(tmp_path):
+def test_verify_strong_is_deterministic(tmp_path):
     design = tmp_path / "fano.json"
     emb = tmp_path / "emb.json"
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     main(["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--out", str(design)])
     main(["embed", "symmetric", str(design), "--out", str(emb)])
-    main(["verify", str(design), str(emb), "--strong", "--jobs", "1", "--out", str(r1)])
-    main(["verify", str(design), str(emb), "--strong", "--jobs", "4", "--out", str(r2)])
+    for report in (r1, r2):
+        assert main(["verify", str(design), str(emb), "--strong", "--out", str(report)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_jobs_flag_is_rejected(tmp_path, capsys):
+    design = tmp_path / "fano.json"
+    emb = tmp_path / "emb.json"
+    main(["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--out", str(design)])
+    main(["embed", "symmetric", str(design), "--out", str(emb)])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(design), str(emb), "--strong", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_design_validated_once_per_verify(tmp_path, monkeypatch):
+    design = tmp_path / "fano.json"
+    emb = tmp_path / "emb.json"
+    main(["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--out", str(design)])
+    main(["embed", "symmetric", str(design), "--out", str(emb)])
+    calls = []
+    original = designs.validate_2design
+
+    def counting(d):
+        calls.append(d.v)
+        return original(d)
+
+    monkeypatch.setattr(designs, "validate_2design", counting)
+    assert main(["verify", str(design), str(emb)]) == 0
+    assert main(["embed", "symmetric", str(design)]) == 0
+    assert calls == [7, 7]
+
+
+def test_verify_wrong_claimed_lambda_exits_1(tmp_path, capsys):
+    design = tmp_path / "fano.json"
+    emb = tmp_path / "emb.json"
+    main(["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--out", str(design)])
+    main(["embed", "symmetric", str(design), "--out", str(emb)])
+    doc = read(design)
+    doc["lambda"] = 2
+    design.write_text(json.dumps(doc))
+    assert main(["verify", str(design), str(emb)]) == 1
+    assert "NotTwoDesign" in capsys.readouterr().err
+
+
+def test_verify_strong_huge_modulus_exits_2(tmp_path, capsys):
+    design = tmp_path / "fano.json"
+    emb = tmp_path / "emb.json"
+    main(["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--out", str(design)])
+    m = 2 ** 62
+    emb.write_text(json.dumps({
+        "group": {"m": m, "t": 1}, "kind": "test", "meta": {},
+        "image": [[i] for i in range(7)],
+    }))
+    capsys.readouterr()
+    assert main(["verify", str(design), str(emb), "--strong"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_info(tmp_path, capsys):

@@ -179,6 +179,14 @@ def test_design_json_roundtrip():
     assert back.blocks == d.blocks and back.lam == 1
 
 
+@pytest.mark.parametrize("key, value", [("k", 4), ("lambda", 2)])
+def test_design_from_dict_rejects_wrong_claims(key, value):
+    doc = validate_2design(Design(7, FANO_BLOCKS)).to_dict()
+    doc[key] = value
+    with pytest.raises(NotTwoDesign):
+        Design.from_dict(doc)
+
+
 def test_diffset_json():
     ds = validate_difference_set(13, [0, 1, 3, 9])
     assert ds.to_dict() == {"v": 13, "set": [0, 1, 3, 9]}
