@@ -83,6 +83,32 @@ class Design:
         return "Design(%s)" % tag
 
 
+# Pair counts that validate_2design holds at once.
+_PAIR_BUDGET = 1 << 18
+
+
+def _pair_counts(blocks, replication):
+    """Yield, over consecutive ranges of points x, the number of blocks
+    through both x and y for every point y > x, as one flat array per range.
+
+    The blocks through each point are found by a stable sort of the
+    incidences; each range of points is sized so that its counts and the
+    blocks gathered for it hold at most about _PAIR_BUDGET entries.
+    """
+    k = blocks.shape[1]
+    v = len(replication)
+    by_point = np.argsort(blocks.ravel(), kind="stable") // k
+    ends = np.cumsum(replication)
+    step = max(1, _PAIR_BUDGET // max(v, int(replication.max()) * k))
+    for x0 in range(0, v, step):
+        x1 = min(v, x0 + step)
+        lo, hi = ends[x0] - replication[x0], ends[x1 - 1]
+        owner = np.repeat(np.arange(x1 - x0), replication[x0:x1])
+        codes = owner[:, None] * v + blocks[by_point[lo:hi]]
+        counts = np.bincount(codes.ravel(), minlength=(x1 - x0) * v).reshape(x1 - x0, v)
+        yield counts[np.arange(v) > np.arange(x0, x1)[:, None]]
+
+
 def validate_2design(design):
     """Exhaustively count pairs and attach (k, lam, r, b) to a design."""
     if design.v < 2 or not design.blocks:
@@ -91,20 +117,18 @@ def validate_2design(design):
     if len(sizes) != 1:
         raise UnequalBlockSizes("block sizes %s" % sorted(sizes))
     k = sizes.pop()
-    replication = [0] * design.v
-    pair_counts = {}
-    for blk in design.blocks:
-        for i, x in enumerate(blk):
-            replication[x] += 1
-            for y in blk[i + 1:]:
-                pair_counts[(x, y)] = pair_counts.get((x, y), 0) + 1
-    if len(pair_counts) != design.v * (design.v - 1) // 2:
-        raise NotTwoDesign("some point pair lies on no block")
-    lam_values = set(pair_counts.values())
+    blocks = np.array(design.blocks, dtype=np.int64)
+    replication = np.bincount(blocks.ravel(), minlength=design.v)
+    lam_values = set()
+    for counts in _pair_counts(blocks, replication):
+        values = np.flatnonzero(np.bincount(counts))  # the distinct counts
+        if values.size and values[0] == 0:
+            raise NotTwoDesign("some point pair lies on no block")
+        lam_values.update(values.tolist())
     if len(lam_values) != 1:
         raise NotTwoDesign("pair counts range over %s" % sorted(lam_values))
     lam = lam_values.pop()
-    r_values = set(replication)
+    r_values = set(replication.tolist())
     if len(r_values) != 1:
         raise NotTwoDesign("replication numbers range over %s" % sorted(r_values))
     out = Design(design.v, design.blocks, design.points)
@@ -174,7 +198,10 @@ def paley_diffset(v):
         raise BadModulus("%d is not a prime congruent to 3 mod 4" % v)
     squares = sorted({(i * i) % v for i in range(1, v)})
     ds = validate_difference_set(v, squares)
-    assert ds.lam == (v - 3) // 4
+    if ds.lam != (v - 3) // 4:
+        raise NotDifferenceSet(
+            "Paley set mod %d has lambda %d, expected %d" % (v, ds.lam, (v - 3) // 4)
+        )
     return ds
 
 
@@ -199,9 +226,10 @@ def singer_diffset(n, q, poly=None):
         if tr == 0:
             elems.append(i)
     ds = validate_difference_set(v, elems)
-    assert (ds.v, ds.k, ds.lam) == (
-        v,
-        (q ** n - 1) // (q - 1),
-        (q ** (n - 1) - 1) // (q - 1),
-    )
+    expected = ((q ** n - 1) // (q - 1), (q ** (n - 1) - 1) // (q - 1))
+    if (ds.k, ds.lam) != expected:
+        raise NotDifferenceSet(
+            "Singer set of PG(%d,%d) has (k, lambda) = (%d, %d), expected (%d, %d)"
+            % ((n, q, ds.k, ds.lam) + expected)
+        )
     return ds

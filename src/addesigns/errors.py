@@ -45,6 +45,10 @@ class DimensionOutOfRange(AddesignsError):
     pass
 
 
+class InvariantViolated(AddesignsError):
+    """A count or identity that the construction guarantees did not hold."""
+
+
 # --- design errors ---
 
 class EmptyDesign(AddesignsError):

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from . import gf
 from .designs import Design, validate_2design
-from .errors import DimensionOutOfRange
+from .errors import DimensionOutOfRange, InvariantViolated
 
 
 def bracket(n, q):
@@ -29,7 +29,8 @@ def gaussian(n, k, q):
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (k - i) - 1
-    assert num % den == 0
+    if num % den != 0:
+        raise InvariantViolated("Gaussian binomial [%d %d]_%d is not an integer" % (n, k, q))
     return num // den
 
 
@@ -137,7 +138,11 @@ def enumerate_subspaces(n, q, d):
         raise DimensionOutOfRange("need 0 <= d <= n")
     out = [Subspace(field, mat) for field, mat in _rref_matrices(d + 1, n + 1, q)]
     out.sort(key=lambda s: s.basis)
-    assert len(out) == gaussian(n + 1, d + 1, q)
+    if len(out) != gaussian(n + 1, d + 1, q):
+        raise InvariantViolated(
+            "PG(%d,%d) gave %d subspaces of dimension %d, expected %d"
+            % (n, q, len(out), d, gaussian(n + 1, d + 1, q))
+        )
     return out
 
 
@@ -149,7 +154,11 @@ def pg_design(n, q, d):
     labels = [":".join(str(c) for c in v) for v in pts]
     blocks = [s.point_indices() for s in enumerate_subspaces(n, q, d)]
     design = validate_2design(Design(len(pts), blocks, labels))
-    assert design.lam == gaussian(n - 1, d - 1, q)
+    if design.lam != gaussian(n - 1, d - 1, q):
+        raise InvariantViolated(
+            "PG_%d(%d,%d) has lambda %d, expected %d"
+            % (d, n, q, design.lam, gaussian(n - 1, d - 1, q))
+        )
     return design
 
 
@@ -196,7 +205,8 @@ def pg_design_cyclic(n, q, d, poly=None):
     field = gf.make_field(p, alpha * (n + 1), poly)
     big = field.q - 1
     v = bracket(n + 1, q)
-    assert big % v == 0 and big // v == q - 1
+    if big != v * (q - 1):
+        raise InvariantViolated("|GF(%d)*| = %d is not %d * %d" % (field.q, big, v, q - 1))
     scalars = [0] + [field._exp[(j * v) % big] for j in range(q - 1)]  # F_q inside
 
     def close(class_basis):
@@ -224,5 +234,9 @@ def pg_design_cyclic(n, q, d, poly=None):
         layer = nxt
     blocks = sorted(tuple(sorted(pts)) for pts in layer)
     design = validate_2design(Design(v, blocks))
-    assert design.b == gaussian(n + 1, d + 1, q)
+    if design.b != gaussian(n + 1, d + 1, q):
+        raise InvariantViolated(
+            "cyclic PG_%d(%d,%d) has %d blocks, expected %d"
+            % (d, n, q, design.b, gaussian(n + 1, d + 1, q))
+        )
     return design

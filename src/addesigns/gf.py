@@ -4,9 +4,17 @@ Elements are coefficient vectors over Z_p with respect to the root r of a
 primitive polynomial.  Display order is highest-degree coefficient first,
 so r^0 in GF(27) prints as (0,0,1).  Internally an element is encoded as
 the integer sum(c_j * p^j) with c_j the coefficient of x^j.
+
+Primitivity is decided by the order test on x (Lidl & Niederreiter,
+Finite Fields, Thm 3.16 ff.), and addition is XOR of codes for p = 2 and
+goes through a Zech logarithm table for odd p.
 """
 
+import logging
 import math
+import time
+
+import numpy as np
 
 from .errors import (
     DivisionByZero,
@@ -21,6 +29,11 @@ from .errors import (
 
 # Table-backed construction is refused beyond this order.
 MAX_FIELD_ORDER = 2 ** 20
+
+# Rows of the exp table computed per matrix product, to bound temporaries.
+_TABLE_CHUNK = 1 << 16
+
+_logger = logging.getLogger("addesigns")
 
 
 def is_prime(m):
@@ -113,45 +126,46 @@ class FieldSpec:
         self.prim_poly = tuple(prim_poly)  # high-to-low, length n+1
         self._build_tables()
 
-    # -- construction helpers -------------------------------------------
-
-    def _xmul(self, coeffs_low):
-        """Multiply a low-first coefficient list by x and reduce mod prim_poly."""
-        p, n = self.p, self.n
-        top = coeffs_low[n - 1]
-        out = [0] + list(coeffs_low[: n - 1])
-        if top:
-            # x^n = -(a_{n-1} x^{n-1} + ... + a_0), poly stored high-to-low
-            for j in range(n):
-                a = self.prim_poly[self.n - j]  # coefficient of x^j
-                out[j] = (out[j] - top * a) % p
-        return out
-
     def _build_tables(self):
+        """Fill _exp (code of r^i), _log (its inverse; _log[0] is unused)
+        and, for odd p, _zech (1 + r^j = r^_zech[j], or -1 where 1 + r^j = 0).
+
+        The powers [f, 2f) are the digit rows of the powers [0, f) times
+        the matrix of multiplication by r^f, which is squared each round.
+        """
         p, n, q = self.p, self.n, self.q
-        exp = []
-        cur = [0] * n
-        cur[0] = 1  # the element 1
-        for i in range(q - 1):
-            exp.append(self._encode_low(cur))
-            cur = self._xmul(cur)
+        weights = p ** np.arange(n, dtype=np.int64)
+        xmat = np.eye(n, k=1, dtype=np.int64)  # row j: x^(j+1) mod prim_poly
+        xmat[n - 1] = [-c % p for c in reversed(self.prim_poly[1:])]
+        exp = np.empty(q - 1, dtype=np.int64)
+        exp[0] = 1
+        step, f = xmat, 1
+        while f < q - 1:
+            for lo in range(0, min(f, q - 1 - f), _TABLE_CHUNK):
+                hi = min(f, q - 1 - f, lo + _TABLE_CHUNK)
+                digits = exp[lo:hi, None] // weights % p
+                exp[f + lo:f + hi] = digits @ step % p @ weights
+            step, f = step @ step % p, 2 * f
         # after q-1 multiplications by the root we must be back at 1
-        if self._encode_low(cur) != 1 and q > 2:
+        if q > 2 and (exp[-1] // weights % p) @ xmat % p @ weights != 1:
             raise NotPrimitivePolynomial(
                 "root of %s does not have order %d" % (self.describe(), q - 1)
             )
-        if len(set(exp)) != q - 1:
+        exponents = np.arange(q - 1)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = exponents
+        # a repeated code keeps only its last exponent, so log fails to invert exp
+        if not np.array_equal(log[exp], exponents):
             raise NotPrimitivePolynomial(
                 "root powers of %s repeat before order %d" % (self.describe(), q - 1)
             )
-        self._exp = exp
-        self._log = {c: i for i, c in enumerate(exp)}
-
-    def _encode_low(self, coeffs_low):
-        v = 0
-        for c in reversed(coeffs_low):
-            v = v * self.p + c
-        return v
+        self._exp = exp.tolist()
+        self._log = log.tolist()
+        self._zech = None
+        if p != 2:
+            # 1 + r^j only changes the constant digit of r^j
+            one_plus = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
+            self._zech = np.where(one_plus == 0, -1, log[one_plus]).tolist()
 
     # -- element access -------------------------------------------------
 
@@ -192,25 +206,24 @@ class FieldSpec:
     # -- code-level arithmetic ------------------------------------------
 
     def add_code(self, a, b):
-        p = self.p
-        s = 0
-        mult = 1
-        while a or b:
-            s += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return s
+        if self._zech is None:
+            return a ^ b
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        # a + b = a * (1 + b/a) = r^(log a + Z(log b - log a))
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % (self.q - 1)]
+        if z < 0:
+            return 0
+        return self._exp[(la + z) % (self.q - 1)]
 
     def neg_code(self, a):
-        p = self.p
-        s = 0
-        mult = 1
-        while a:
-            s += ((-(a % p)) % p) * mult
-            a //= p
-            mult *= p
-        return s
+        if self._zech is None or a == 0:
+            return a
+        # -1 = r^((q-1)/2) for odd q
+        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
 
     def sub_code(self, a, b):
         return self.add_code(a, self.neg_code(b))
@@ -270,32 +283,75 @@ def _poly_candidates(p, n):
         yield (1,) + tuple(reversed(low))
 
 
-def _is_primitive(p, n, poly):
-    """Check that x generates the full multiplicative group mod poly.
+def _prime_factors(m):
+    """The distinct prime factors of m >= 1, by trial division."""
+    out = []
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1 if f == 2 else 2
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _mulmod(a, b, low, p):
+    """a * b modulo x^n + sum(low[j] x^j) over Z_p; a, b and the result
+    are coefficient lists of length n, low degree first."""
+    n = len(low)
+    prod = [0] * (2 * n - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                prod[i + j] += c * d
+    for i in range(2 * n - 2, n - 1, -1):
+        c = prod[i] % p
+        if c:
+            # c x^i = -c x^(i-n) * sum(low[j] x^j)
+            for j, f in enumerate(low):
+                prod[i - n + j] -= c * f
+    return [c % p for c in prod[:n]]
+
+
+def _x_power(e, low, p):
+    """x^e modulo x^n + sum(low[j] x^j) over Z_p, e >= 1, by square and
+    multiply."""
+    n = len(low)
+    x = [0] * n
+    if n == 1:
+        x[0] = -low[0] % p
+    else:
+        x[1] = 1
+    out = x
+    for bit in bin(e)[3:]:
+        out = _mulmod(out, out, low, p)
+        if bit == "1":
+            out = _mulmod(x, out, low, p)  # x first: one nonzero coefficient
+    return out
+
+
+def _is_primitive(p, n, poly, factors):
+    """Whether x has order q - 1 modulo poly, i.e. x^(q-1) = 1 and
+    x^((q-1)/r) != 1 for every prime r in `factors`, the prime factors of
+    q - 1.
 
     If poly is reducible the unit group of Z_p[x]/(poly) is strictly
-    smaller than p^n - 1, so this single check also certifies
-    irreducibility.
+    smaller than q - 1, so this test also certifies irreducibility.
     """
     q = p ** n
     if q == 2:
         # GF(2) is degenerate: the table is just {1} and the root is unused.
         return True
-    spec = object.__new__(FieldSpec)
-    spec.p, spec.n, spec.q = p, n, q
-    spec.prim_poly = tuple(poly)
-    cur = [0] * n
-    cur[0] = 1
-    seen_one_at = None
-    for i in range(1, q):
-        cur = spec._xmul(cur)
-        code = spec._encode_low(cur)
-        if code == 0:
-            return False
-        if code == 1:
-            seen_one_at = i
-            break
-    return seen_one_at == q - 1
+    low = [c % p for c in reversed(poly[1:])]
+    if low[0] == 0:  # x divides poly, so x is not a unit
+        return False
+    one = [1] + [0] * (n - 1)
+    if _x_power(q - 1, low, p) != one:
+        return False
+    return all(_x_power((q - 1) // r, low, p) != one for r in factors)
 
 
 def make_field(p, n, poly=None):
@@ -303,7 +359,9 @@ def make_field(p, n, poly=None):
 
     If poly is omitted, the lexicographically smallest primitive polynomial
     (coefficients compared low-degree-first) is found by search.  A supplied
-    poly must be monic of degree n and is checked for primitivity.
+    poly must be monic of degree n and is checked for primitivity.  Logs
+    the candidates tried and the search and table times at DEBUG level on
+    the "addesigns" logger.
     """
     if not is_prime(p):
         raise NotPrime("%d is not prime" % p)
@@ -311,19 +369,29 @@ def make_field(p, n, poly=None):
         raise NotPrimitivePolynomial("extension degree must be >= 1")
     if p ** n > MAX_FIELD_ORDER:
         raise FieldTooLarge("refusing table construction for q = %d" % p ** n)
+    start = time.perf_counter()
+    factors = _prime_factors(p ** n - 1)
     if poly is not None:
         poly = tuple(c % p for c in poly)
         if len(poly) != n + 1 or poly[0] != 1:
             raise NotPrimitivePolynomial("polynomial must be monic of degree %d" % n)
-        if not _is_primitive(p, n, poly):
+        if not _is_primitive(p, n, poly, factors):
             raise NotPrimitivePolynomial(
                 "x is not a generator modulo the given polynomial"
             )
-        return FieldSpec(p, n, poly)
-    for cand in _poly_candidates(p, n):
-        if _is_primitive(p, n, cand):
-            return FieldSpec(p, n, cand)
-    raise NotPrimitivePolynomial("no primitive polynomial found")  # unreachable
+        tried = 1
+    else:
+        for tried, poly in enumerate(_poly_candidates(p, n), 1):
+            if _is_primitive(p, n, poly, factors):
+                break
+    searched = time.perf_counter()
+    field = FieldSpec(p, n, poly)
+    _logger.debug(
+        "make_field p=%d n=%d candidates=%d poly=%s search_s=%.6f table_s=%.6f",
+        p, n, tried, ",".join(map(str, poly)),
+        searched - start, time.perf_counter() - searched,
+    )
+    return field
 
 
 def prime_power(q):

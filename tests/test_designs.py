@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addesigns import designs, geometry, gf
 from addesigns.designs import (
@@ -190,3 +192,119 @@ def test_design_from_dict_rejects_wrong_claims(key, value):
 def test_diffset_json():
     ds = validate_difference_set(13, [0, 1, 3, 9])
     assert ds.to_dict() == {"v": 13, "set": [0, 1, 3, 9]}
+
+
+# -- validate_2design against the pair-count dictionary it replaced -------
+
+
+def reference_validate_2design(design):
+    """Count every pair in a dictionary; (k, lam, r, b) or the error."""
+    if design.v < 2 or not design.blocks:
+        raise EmptyDesign("need v >= 2 and at least one block")
+    sizes = {len(b) for b in design.blocks}
+    if len(sizes) != 1:
+        raise UnequalBlockSizes("block sizes %s" % sorted(sizes))
+    k = sizes.pop()
+    replication = [0] * design.v
+    pair_counts = {}
+    for blk in design.blocks:
+        for i, x in enumerate(blk):
+            replication[x] += 1
+            for y in blk[i + 1:]:
+                pair_counts[(x, y)] = pair_counts.get((x, y), 0) + 1
+    if len(pair_counts) != design.v * (design.v - 1) // 2:
+        raise NotTwoDesign("some point pair lies on no block")
+    lam_values = set(pair_counts.values())
+    if len(lam_values) != 1:
+        raise NotTwoDesign("pair counts range over %s" % sorted(lam_values))
+    lam = lam_values.pop()
+    r_values = set(replication)
+    if len(r_values) != 1:
+        raise NotTwoDesign("replication numbers range over %s" % sorted(r_values))
+    return k, lam, r_values.pop(), len(design.blocks)
+
+
+def _outcome(validate, design):
+    try:
+        out = validate(design)
+    except (EmptyDesign, UnequalBlockSizes, NotTwoDesign) as exc:
+        return type(exc).__name__, str(exc)
+    return out if isinstance(out, tuple) else (out.k, out.lam, out.r, out.b)
+
+
+@st.composite
+def incidence_structures(draw):
+    v = draw(st.integers(2, 8))
+    k = draw(st.integers(0, v))
+    subsets = list(itertools.combinations(range(v), k))
+    if draw(st.booleans()):
+        # all k-subsets minus a few: often a 2-design, else a near miss
+        drop = draw(st.sets(st.integers(0, len(subsets) - 1), max_size=2))
+        blocks = [b for i, b in enumerate(subsets) if i not in drop] or subsets
+    else:
+        blocks = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=12))
+    return Design(v, blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidence_structures(), st.sampled_from([1, 5, 1 << 18]))
+def test_validate_2design_matches_dict_reference(design, budget):
+    old = designs._PAIR_BUDGET
+    designs._PAIR_BUDGET = budget
+    try:
+        assert _outcome(validate_2design, design) == _outcome(reference_validate_2design, design)
+    finally:
+        designs._PAIR_BUDGET = old
+
+
+@pytest.mark.parametrize("budget", [1, 40, 1 << 18])
+@pytest.mark.parametrize(
+    "design",
+    [
+        Design(7, FANO_BLOCKS),
+        Design(6, [(0, 1, 2), (3, 4, 5)]),  # pairs missing
+        Design(4, [(0, 1, 2), (0, 1, 3)]),  # pair counts 1 and 2
+        Design(3, [(0, 1), (0, 2), (1, 2), (0, 1), (0, 2), (1, 2)]),  # lambda 2
+        Design(5, [(0,), (1,)]),  # k = 1: no pairs at all
+        Design(4, [(), ()]),  # k = 0
+    ],
+    ids=["fano", "missing", "uneven", "doubled", "k1", "k0"],
+)
+def test_validate_2design_messages_match_reference(design, budget, monkeypatch):
+    monkeypatch.setattr(designs, "_PAIR_BUDGET", budget)
+    assert _outcome(validate_2design, design) == _outcome(reference_validate_2design, design)
+
+
+@pytest.mark.parametrize("n,q,d", [(2, 3, 1), (3, 2, 2), (3, 3, 1)])
+def test_validate_2design_matches_reference_on_pg_designs(n, q, d, monkeypatch):
+    design = geometry.pg_design(n, q, d)
+    raw = Design(design.v, design.blocks)
+    monkeypatch.setattr(designs, "_PAIR_BUDGET", 50)
+    assert _outcome(validate_2design, raw) == _outcome(reference_validate_2design, raw)
+
+
+def test_validate_2design_singer32_parameters():
+    d = develop(singer_diffset(2, 32))
+    assert (d.v, d.k, d.lam, d.r, d.b) == (1057, 33, 1, 33, 1057)
+    assert all(type(x) is int for x in (d.k, d.lam, d.r, d.b))
+
+
+# -- the construction identities raise typed errors, not assert -----------
+
+
+def test_paley_lambda_mismatch_is_typed(monkeypatch):
+    monkeypatch.setattr(
+        designs, "validate_difference_set",
+        lambda v, elems: designs.DifferenceSet(v, elems, 99),
+    )
+    with pytest.raises(NotDifferenceSet, match="expected 1"):
+        paley_diffset(7)
+
+
+def test_singer_parameter_mismatch_is_typed(monkeypatch):
+    monkeypatch.setattr(
+        designs, "validate_difference_set",
+        lambda v, elems: designs.DifferenceSet(v, elems[:-1], 0),
+    )
+    with pytest.raises(NotDifferenceSet, match=r"expected \(4, 1\)"):
+        singer_diffset(2, 3)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from addesigns import geometry
-from addesigns.errors import DimensionOutOfRange
+from addesigns.errors import DimensionOutOfRange, InvariantViolated
 
 
 def test_bracket_values():
@@ -166,3 +166,39 @@ def test_pg_design_cyclic_pg133_contains_paper_base_blocks():
     for base in [{0, 1, 4, 13}, {0, 2, 17, 24}, {0, 5, 26, 34}, {0, 10, 20, 30}]:
         assert frozenset(base) in blocks
     assert d.b == 130
+
+
+# -- construction identities raise InvariantViolated, not assert ----------
+
+
+def _gaussian_off_by_one_at(target):
+    real = geometry.gaussian
+
+    def patched(n, k, q):
+        return real(n, k, q) + ((n, k, q) == target)
+
+    return patched
+
+
+def test_subspace_count_mismatch_is_typed(monkeypatch):
+    monkeypatch.setattr(geometry, "gaussian", _gaussian_off_by_one_at((3, 2, 2)))
+    with pytest.raises(InvariantViolated, match="expected 8"):
+        geometry.enumerate_subspaces(2, 2, 1)
+
+
+def test_pg_lambda_mismatch_is_typed(monkeypatch):
+    monkeypatch.setattr(geometry, "gaussian", _gaussian_off_by_one_at((1, 0, 2)))
+    with pytest.raises(InvariantViolated, match="lambda 1, expected 2"):
+        geometry.pg_design(2, 2, 1)
+
+
+def test_cyclic_block_count_mismatch_is_typed(monkeypatch):
+    monkeypatch.setattr(geometry, "gaussian", _gaussian_off_by_one_at((3, 2, 2)))
+    with pytest.raises(InvariantViolated, match="7 blocks, expected 8"):
+        geometry.pg_design_cyclic(2, 2, 1)
+
+
+def test_cyclic_group_order_mismatch_is_typed(monkeypatch):
+    monkeypatch.setattr(geometry, "bracket", lambda n, q: 8)
+    with pytest.raises(InvariantViolated, match="is not 8"):
+        geometry.pg_design_cyclic(2, 2, 1)

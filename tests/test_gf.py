@@ -1,4 +1,9 @@
+import logging
+
 import pytest
+from sympy import factorint
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 
 from addesigns import gf
 from addesigns.errors import (
@@ -194,3 +199,183 @@ def test_power_sum_by_direct_elementwise_oracle():
             term = f.one if i == 0 else e ** i
             total = total + term
         assert total == gf.power_sum(f, i)
+
+
+# -- references: the field construction before the order test -------------
+#
+# The O(q) walk over the powers of x, the step-by-step exp table and the
+# base-p digit loops that make_field, FieldSpec and add_code used before
+# they moved to the order test, the doubling table and XOR/Zech addition.
+
+
+def _old_xmul(p, n, poly, coeffs_low):
+    """Multiply a low-first coefficient list by x and reduce mod poly."""
+    top = coeffs_low[n - 1]
+    out = [0] + list(coeffs_low[: n - 1])
+    if top:
+        for j in range(n):
+            out[j] = (out[j] - top * poly[n - j]) % p
+    return out
+
+
+def _old_encode_low(p, coeffs_low):
+    v = 0
+    for c in reversed(coeffs_low):
+        v = v * p + c
+    return v
+
+
+def _old_is_primitive(p, n, poly):
+    q = p ** n
+    if q == 2:
+        return True
+    cur = [0] * n
+    cur[0] = 1
+    seen_one_at = None
+    for i in range(1, q):
+        cur = _old_xmul(p, n, poly, cur)
+        code = _old_encode_low(p, cur)
+        if code == 0:
+            return False
+        if code == 1:
+            seen_one_at = i
+            break
+    return seen_one_at == q - 1
+
+
+def _old_exp_table(p, n, poly):
+    exp = []
+    cur = [0] * n
+    cur[0] = 1
+    for _ in range(p ** n - 1):
+        exp.append(_old_encode_low(p, cur))
+        cur = _old_xmul(p, n, poly, cur)
+    return exp
+
+
+def _old_add_code(p, a, b):
+    s = 0
+    mult = 1
+    while a or b:
+        s += ((a % p + b % p) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return s
+
+
+def _old_neg_code(p, a):
+    s = 0
+    mult = 1
+    while a:
+        s += ((-(a % p)) % p) * mult
+        a //= p
+        mult *= p
+    return s
+
+
+def _sympy_is_primitive(p, n, poly):
+    """Irreducible, x^(q-1) = 1 and x^((q-1)/r) != 1 for each prime
+    r | q-1, by sympy's polynomial arithmetic over Z_p."""
+    q = p ** n
+    f = list(poly)
+    if not gf_irreducible_p(f, p, ZZ) or gf_pow_mod([1, 0], q - 1, f, p, ZZ) != [1]:
+        return False
+    return all(
+        gf_pow_mod([1, 0], (q - 1) // r, f, p, ZZ) != [1] for r in factorint(q - 1)
+    )
+
+
+ORDER_TEST_FIELDS = (
+    [(2, n) for n in range(1, 11)]
+    + [(3, n) for n in range(1, 7)]
+    + [(5, n) for n in range(1, 5)]
+    + [(7, n) for n in range(1, 4)]
+    + [(11, 1), (11, 2), (13, 2), (257, 1)]
+)
+
+
+@pytest.mark.parametrize("p,n", ORDER_TEST_FIELDS)
+def test_order_test_agrees_with_walk_on_every_candidate(p, n):
+    factors = gf._prime_factors(p ** n - 1)
+    for cand in gf._poly_candidates(p, n):
+        assert gf._is_primitive(p, n, cand, factors) == _old_is_primitive(p, n, cand), cand
+
+
+@pytest.mark.parametrize("p,n", [f for f in ORDER_TEST_FIELDS if f != (2, 1)])
+def test_chosen_polynomial_is_first_primitive_by_sympy(p, n):
+    # (2, 1) is excluded: GF(2) keeps the convention poly = x, checked below
+    chosen = gf.make_field(p, n).prim_poly
+    for cand in gf._poly_candidates(p, n):
+        if cand == chosen:
+            break
+        assert not _sympy_is_primitive(p, n, cand), cand
+    assert _sympy_is_primitive(p, n, chosen)
+
+
+def test_gf2_accepts_any_monic_linear_polynomial():
+    assert gf.make_field(2, 1, [1, 1]).prim_poly == (1, 1)
+    assert gf.make_field(2, 1)._exp == [1]
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(2, n) for n in range(1, 12)] + [(3, n) for n in range(1, 8)]
+    + [(5, 4), (7, 3), (11, 3), (13, 2), (17, 2), (43, 2), (2179, 1)],
+)
+def test_exp_table_matches_stepwise_table(p, n):
+    f = gf.make_field(p, n)
+    exp = _old_exp_table(p, n, f.prim_poly)
+    assert f._exp == exp
+    assert all(f._log[c] == i for i, c in enumerate(exp))
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2), (7, 2), (3, 1), (7, 1)])
+def test_add_neg_sub_match_digitwise_reference(p, n):
+    f = gf.make_field(p, n)
+    for a in range(f.q):
+        assert f.neg_code(a) == _old_neg_code(p, a)
+        for b in range(f.q):
+            assert f.add_code(a, b) == _old_add_code(p, a, b)
+            assert f.sub_code(a, b) == _old_add_code(p, a, _old_neg_code(p, b))
+
+
+def test_table_checks_raise_typed_errors():
+    # x^2 + 1 over Z_2 = (x + 1)^2: x^3 = x, not 1
+    with pytest.raises(NotPrimitivePolynomial, match="does not have order 3"):
+        gf.FieldSpec(2, 2, (1, 0, 1))
+    # x^2 + 1 over Z_3: x has order 4, so x^8 = 1 but the powers repeat
+    with pytest.raises(NotPrimitivePolynomial, match="repeat before order 8"):
+        gf.FieldSpec(3, 2, (1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "p,n,poly",
+    [
+        (3, 12, (1, 0, 0, 0, 0, 0, 0, 0, 2, 1, 2, 2, 2)),
+        (2, 15, (1,) + (0,) * 13 + (1, 1)),
+        (2, 16, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 1)),
+    ],
+)
+def test_golden_polynomials_of_large_fields(p, n, poly):
+    # make_field(3, 12) searched 216 candidates in about two minutes by the
+    # O(q) walk; the order test and the doubling table take well under 2 s.
+    f = gf.make_field(p, n)
+    assert f.prim_poly == poly
+    assert f.exp(f.q - 1) == f.one
+    assert f.exp(1).coeffs == (0,) * (n - 2) + (1, 0)
+
+
+def test_make_field_logs_one_debug_line(caplog):
+    with caplog.at_level(logging.DEBUG, logger="addesigns"):
+        gf.make_field(2, 4)
+    (record,) = caplog.records
+    assert record.name == "addesigns" and record.levelno == logging.DEBUG
+    msg = record.getMessage()
+    assert msg.startswith("make_field p=2 n=4 candidates=4 poly=1,0,0,1,1 search_s=")
+    assert "table_s=" in msg
+
+
+def test_make_field_writes_nothing_without_a_handler(capsys):
+    gf.make_field(3, 5)
+    assert capsys.readouterr() == ("", "")
