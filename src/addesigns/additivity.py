@@ -20,7 +20,7 @@ from .errors import (
     SizeMismatch,
     TooLarge,
 )
-from .geometry import ag_points, bracket, enumerate_subspaces, pg_points
+from .geometry import ag_points, bracket, pg_points, subspace_blocks
 
 DEFAULT_STRONG_CAP = 10 ** 7
 _STRONG_CHUNK = 10 ** 5  # elements (rows x t) one numpy call of verify_strong touches
@@ -39,17 +39,10 @@ class AbelianGroup:
     def order(self):
         return self.m ** self.t
 
-    @property
-    def zero(self):
-        return (0,) * self.t
-
     def reduce(self, vec):
         if len(vec) != self.t:
             raise GroupMismatch("expected rank-%d vector" % self.t)
         return tuple(c % self.m for c in vec)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.m for x, y in zip(a, b))
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroup) and (self.m, self.t) == (other.m, other.t)
@@ -192,7 +185,7 @@ def pg_strong_embedding(n, q, d):
     pts = pg_points(n, q)
     if len(pts) != v:
         raise SizeMismatch("PG(%d,%d) has %d points, expected %d" % (n, q, len(pts), v))
-    hyperplanes = [s.point_indices() for s in enumerate_subspaces(n, q, n - 1)]
+    hyperplanes = subspace_blocks(n, q, n - 1).tolist()
     return _complement_matrix_embedding(
         v, hyperplanes, q ** d, "pg-strong", {"n": n, "q": q, "d": d},
     )

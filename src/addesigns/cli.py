@@ -5,6 +5,7 @@ Exit status convention (scriptable): 0 = all requested checks pass,
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -21,12 +22,10 @@ def _parse_ints(text):
 
 
 def _emit(doc, out):
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    """Stream doc as indented JSON plus a newline to out or stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load(path):

@@ -3,15 +3,24 @@ the classical designs PG_d(n,q) and AG_d(n,q).
 
 Subspaces are canonicalized as reduced-row-echelon bases and enumerated
 in lexicographic order, so block indices are stable across runs.
-Coordinates are field-element codes of the underlying gf.FieldSpec.
+Coordinates are labels 0..q-1 of the elements of a field of order q: the
+codes of gf.FieldSpec for GF(q) itself.  One enumerator, _span_points,
+turns RREF bases into point sets through the field's addition and
+multiplication tables; the PG, cyclic PG and AG designs differ only in
+the field they compute in and in how they label points.
 """
 
 import itertools
 from functools import lru_cache
 
+import numpy as np
+
 from . import gf
 from .designs import Design, validate_2design
 from .errors import DimensionOutOfRange, InvariantViolated
+
+# Vector coordinates the subspace enumerator computes per numpy call.
+_SPAN_BUDGET = 1 << 18
 
 
 def bracket(n, q):
@@ -40,120 +49,121 @@ def _field(q):
     return gf.make_field(p, alpha)
 
 
-@lru_cache(maxsize=None)
-def _pg_space(n, q):
-    """Canonical point list of PG(n,q) and its index lookup."""
-    field = _field(q)
-    pts = []
-    for vec in itertools.product(range(q), repeat=n + 1):
-        nz = next((c for c in vec if c), None)
-        if nz == 1:
-            pts.append(vec)
-    index = {v: i for i, v in enumerate(pts)}
-    return field, tuple(pts), index
+def _tables(field, elem):
+    """Addition and multiplication tables, on labels, of the subfield of
+    `field` whose element with label i has the code elem[i]."""
+    label = {c: i for i, c in enumerate(elem)}
+    dtype = np.min_scalar_type(len(label) - 1)
+    add = np.array([[label[field.add_code(a, b)] for b in elem] for a in elem], dtype)
+    mul = np.array([[label[field.mul_code(a, b)] for b in elem] for a in elem], dtype)
+    return add, mul
 
 
-def normalize(field, vec):
-    """Scale so the first nonzero coordinate is 1; vec must be nonzero."""
-    lead = next(c for c in vec if c)
-    if lead == 1:
-        return tuple(vec)
-    inv = field.inv_code(lead)
-    return tuple(field.mul_code(inv, c) for c in vec)
+def _digits(codes, length, q):
+    """The vectors of the given lexicographic codes: base-q digits, most
+    significant first."""
+    weights = q ** np.arange(length - 1, -1, -1)
+    return (codes[:, None] // weights % q).astype(np.min_scalar_type(q - 1))
+
+
+def _point_codes(length, q):
+    """Codes of the vectors whose first nonzero label is 1, ascending: the
+    points of PG(length-1,q).  Those with the 1 at position length-1-i
+    are the codes q^i .. 2q^i - 1."""
+    return np.concatenate([np.arange(q ** i, 2 * q ** i) for i in range(length)])
 
 
 def pg_points(n, q):
     """All normalized points of PG(n,q) in lexicographic order."""
     if n < 1:
         raise DimensionOutOfRange("need n >= 1")
-    return list(_pg_space(n, q)[1])
+    return [tuple(v) for v in _digits(_point_codes(n + 1, q), n + 1, q).tolist()]
 
 
-class Subspace:
-    """A projective subspace held as an RREF basis matrix."""
-
-    def __init__(self, field, basis):
-        self.field = field
-        self.basis = tuple(tuple(row) for row in basis)
-        self.dim = len(self.basis) - 1
-
-    def vectors(self):
-        """All nonzero vectors of the underlying linear span."""
-        field = self.field
-        q = field.q
-        cols = len(self.basis[0])
-        out = []
-        for coeffs in itertools.product(range(q), repeat=len(self.basis)):
-            if not any(coeffs):
-                continue
-            vec = [0] * cols
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for j, r in enumerate(row):
-                        if r:
-                            vec[j] = field.add_code(vec[j], field.mul_code(c, r))
-            out.append(tuple(vec))
-        return out
-
-    def point_indices(self):
-        """Sorted indices of the subspace's points in pg_points order."""
-        n = len(self.basis[0]) - 1
-        field, _, index = _pg_space(n, self.field.q)
-        pts = {index[normalize(field, vec)] for vec in self.vectors()}
-        return tuple(sorted(pts))
-
-    def __eq__(self, other):
-        return isinstance(other, Subspace) and other.basis == self.basis
-
-    def __hash__(self):
-        return hash(self.basis)
-
-    def __repr__(self):
-        return "Subspace(dim=%d, basis=%s)" % (self.dim, self.basis)
-
-
-def _rref_matrices(rows, cols, q):
-    """All RREF matrices of full rank `rows` over F_q, lexicographic."""
-    field = _field(q)
+def _rref_bases(rows, cols, q):
+    """Yield each pivot tuple, in lexicographic order, with the array of
+    every full-rank RREF matrix over the labels 0..q-1 with those pivots;
+    its free entries, row by row, take all values in lexicographic order."""
     for pivots in itertools.combinations(range(cols), rows):
-        pivot_set = set(pivots)
         free = [
             (i, j)
             for i in range(rows)
             for j in range(pivots[i] + 1, cols)
-            if j not in pivot_set
+            if j not in pivots
         ]
-        for values in itertools.product(range(q), repeat=len(free)):
-            mat = [[0] * cols for _ in range(rows)]
-            for i, p in enumerate(pivots):
-                mat[i][p] = 1
-            for (i, j), val in zip(free, values):
-                mat[i][j] = val
-            yield field, tuple(tuple(row) for row in mat)
+        mats = np.zeros((q ** len(free), rows, cols), dtype=np.min_scalar_type(q - 1))
+        mats[:, range(rows), pivots] = 1
+        if free:
+            fi, fj = zip(*free)
+            mats[:, fi, fj] = _digits(np.arange(len(mats)), len(free), q)
+        yield pivots, mats
+
+
+def _span_points(add, mul, bases, coeffs, point_of):
+    """Row i holds point_of[code of c . bases[i]] for every row c of
+    coeffs, sorted.  Arithmetic goes through the q x q label tables add
+    and mul; the code of a vector x is sum x_j q^(cols-1-j).  Bases are
+    taken in chunks, so no temporary holds much more than _SPAN_BUDGET
+    coordinates."""
+    b, rows, cols = bases.shape
+    q = len(add)
+    code_type = np.min_scalar_type(q ** cols - 1)
+    out = np.empty((b, len(coeffs)), dtype=point_of.dtype)
+    step = max(1, _SPAN_BUDGET // (len(coeffs) * cols))
+    for lo in range(0, b, step):
+        chunk = bases[lo:lo + step, None]  # (s, 1, rows, cols)
+        vec = mul[coeffs[:, :1], chunk[:, :, 0]]  # (s, len(coeffs), cols)
+        for i in range(1, rows):
+            vec = add[vec, mul[coeffs[:, i:i + 1], chunk[:, :, i]]]
+        code = np.zeros(vec.shape[:2], dtype=code_type)
+        for j in range(cols):
+            code = code * q + vec[:, :, j]
+        out[lo:lo + step] = point_of[code]
+    out.sort(axis=1)
+    return out
 
 
 def enumerate_subspaces(n, q, d):
-    """All canonical d-subspaces of PG(n,q), in a deterministic order."""
+    """The RREF bases of all d-subspaces of PG(n,q), as a (b, d+1, n+1)
+    array of labels in lexicographic order."""
     if not 0 <= d <= n:
         raise DimensionOutOfRange("need 0 <= d <= n")
-    out = [Subspace(field, mat) for field, mat in _rref_matrices(d + 1, n + 1, q)]
-    out.sort(key=lambda s: s.basis)
-    if len(out) != gaussian(n + 1, d + 1, q):
+    bases = np.concatenate([mats for _, mats in _rref_bases(d + 1, n + 1, q)])
+    bases = bases[np.lexsort(bases.reshape(len(bases), -1).T[::-1])]
+    if len(bases) != gaussian(n + 1, d + 1, q):
         raise InvariantViolated(
             "PG(%d,%d) gave %d subspaces of dimension %d, expected %d"
-            % (n, q, len(out), d, gaussian(n + 1, d + 1, q))
+            % (n, q, len(bases), d, gaussian(n + 1, d + 1, q))
         )
-    return out
+    return bases
+
+
+def subspace_blocks(n, q, d, tables=None, labels=None):
+    """The points of every d-subspace of PG(n,q), in enumerate_subspaces
+    order, as a (b, [d+1]_q) array of sorted rows.
+
+    `tables` are the addition and multiplication tables, on the labels
+    0..q-1, of the field of order q to compute in (GF(q)'s by default);
+    the i-th point in pg_points order is written as labels[i] (i by
+    default).
+    """
+    if tables is None:
+        tables = _tables(_field(q), range(q))
+    v = bracket(n + 1, q)
+    point_of = np.zeros(q ** (n + 1), dtype=np.min_scalar_type(v - 1))
+    point_of[_point_codes(n + 1, q)] = np.arange(v) if labels is None else labels
+    # An RREF basis times a normalized coefficient vector is normalized:
+    # its first nonzero coordinate sits at the first used pivot.
+    coeffs = _digits(_point_codes(d + 1, q), d + 1, q)
+    return _span_points(*tables, enumerate_subspaces(n, q, d), coeffs, point_of)
 
 
 def pg_design(n, q, d):
     """The 2-design of points and d-subspaces of PG(n,q)."""
     if not 1 <= d <= n - 1:
         raise DimensionOutOfRange("need 1 <= d <= n-1")
-    _, pts, _ = _pg_space(n, q)
-    labels = [":".join(str(c) for c in v) for v in pts]
-    blocks = [s.point_indices() for s in enumerate_subspaces(n, q, d)]
-    design = validate_2design(Design(len(pts), blocks, labels))
+    labels = [":".join(str(c) for c in v) for v in pg_points(n, q)]
+    design = validate_2design(Design(len(labels), subspace_blocks(n, q, d).tolist(), labels))
     if design.lam != gaussian(n - 1, d - 1, q):
         raise InvariantViolated(
             "PG_%d(%d,%d) has lambda %d, expected %d"
@@ -169,35 +179,45 @@ def ag_points(n, q):
 
 def ag_design(n, q, d):
     """The 2-design on F_q^n whose blocks are all cosets of all d-dim
-    linear subspaces."""
+    linear subspaces.
+
+    The cosets t + W are the (d+1)-subspaces of F_q^(n+1) off the
+    hyperplane x_0 = 0.  Their RREF bases are a row (1, t), with t zero on
+    the pivot columns of W, over a basis (0, W), so t runs over one
+    representative per coset, and their vectors (1, x) are its points x.
+    Blocks come subspace by subspace in RREF enumeration order, each
+    subspace's cosets sorted.
+    """
     if not 1 <= d <= n - 1:
         raise DimensionOutOfRange("need 1 <= d <= n-1")
-    field = _field(q)
     pts = ag_points(n, q)
-    index = {v: i for i, v in enumerate(pts)}
     labels = [":".join(str(c) for c in v) for v in pts]
+    tables = _tables(_field(q), range(q))
+    affine = _digits(np.arange(q ** d, 2 * q ** d), d + 1, q)  # coefficients (1, c)
+    point_of = np.arange(-q ** n, q ** n)  # (1, x) has code q^n + code of x
     blocks = []
-    for field, mat in _rref_matrices(d, n, q):
-        sub = Subspace(field, mat)
-        span = [tuple([0] * n)] + sub.vectors()
-        seen = set()
-        for t in pts:
-            coset = frozenset(
-                tuple(field.add_code(a, b) for a, b in zip(vec, t)) for vec in span
-            )
-            seen.add(coset)
-        for coset in sorted(sorted(index[v] for v in c) for c in seen):
-            blocks.append(tuple(coset))
+    for pivots, bases in _rref_bases(d + 1, n + 1, q):
+        if pivots[0] != 0:
+            break  # the remaining subspaces lie in x_0 = 0
+        # t's free entries come first, so the rows run over t within each
+        # W.  t is the least point of t + W (its pivot coordinates are 0)
+        # and runs in lexicographic order, so regrouped by W the cosets
+        # come sorted.
+        cosets = _span_points(*tables, bases, affine, point_of).reshape(q ** (n - d), -1, q ** d)
+        blocks += cosets.swapaxes(0, 1).reshape(-1, q ** d).tolist()
     return validate_2design(Design(len(pts), blocks, labels))
 
 
 def pg_design_cyclic(n, q, d, poly=None):
     """PG_d(n,q) with points indexed by the exponent classes of a
-    primitive element of GF(q^(n+1)) modulo F_q*.
+    primitive element omega of GF(q^(n+1)) modulo F_q*.
 
-    Point i is the class of omega^i, 0 <= i < [n+1]_q.  Blocks are the
-    d-subspaces written as class sets, found by closing point sets under
-    F_q-linear combinations inside the big field.
+    Point i is the class of omega^i, 0 <= i < v = [n+1]_q.  The blocks are
+    the d-subspaces of PG(n,q) over the subfield F_q = {0} u <omega^v>,
+    whose label j >= 1 is omega^((j-1)v), so label 1 is the element 1,
+    with each point x written as the class of sum_j x_j omega^j.  That
+    map is F_q-linear and one to one, as 1, omega, ..., omega^n is a basis
+    of GF(q^(n+1)) over F_q.
     """
     if not 1 <= d <= n - 1:
         raise DimensionOutOfRange("need 1 <= d <= n-1")
@@ -207,36 +227,14 @@ def pg_design_cyclic(n, q, d, poly=None):
     v = bracket(n + 1, q)
     if big != v * (q - 1):
         raise InvariantViolated("|GF(%d)*| = %d is not %d * %d" % (field.q, big, v, q - 1))
-    scalars = [0] + [field._exp[(j * v) % big] for j in range(q - 1)]  # F_q inside
-
-    def close(class_basis):
-        reps = [field._exp[i] for i in class_basis]
-        classes = set()
-        for coeffs in itertools.product(scalars, repeat=len(reps)):
-            acc = 0
-            for c, r in zip(coeffs, reps):
-                if c:
-                    acc = field.add_code(acc, field.mul_code(c, r))
-            if acc:
-                classes.add(field._log[acc] % v)
-        return frozenset(classes)
-
-    layer = {frozenset([i]): (i,) for i in range(v)}
-    for _ in range(d):
-        nxt = {}
-        for pts, basis in layer.items():
-            for j in range(v):
-                if j in pts:
-                    continue
-                grown = close(basis + (j,))
-                if grown not in nxt:
-                    nxt[grown] = basis + (j,)
-        layer = nxt
-    blocks = sorted(tuple(sorted(pts)) for pts in layer)
-    design = validate_2design(Design(v, blocks))
-    if design.b != gaussian(n + 1, d + 1, q):
-        raise InvariantViolated(
-            "cyclic PG_%d(%d,%d) has %d blocks, expected %d"
-            % (d, n, q, design.b, gaussian(n + 1, d + 1, q))
-        )
-    return design
+    exp = np.array(field._exp)
+    elem = [0] + exp[np.arange(q - 1) * v].tolist()
+    terms = np.zeros((n + 1, q), dtype=np.int64)  # terms[j, x]: code of x omega^j
+    terms[:, 1:] = exp[(np.arange(q - 1) * v + np.arange(n + 1)[:, None]) % big]
+    pts = _digits(_point_codes(n + 1, q), n + 1, q)
+    weights = p ** np.arange(field.n)
+    # the sum of the terms of each point, digit by digit over Z_p
+    digits = sum(terms[j, pts[:, j]][:, None] // weights % p for j in range(n + 1))
+    classes = np.array(field._log)[digits % p @ weights] % v
+    blocks = sorted(subspace_blocks(n, q, d, _tables(field, elem), classes).tolist())
+    return validate_2design(Design(v, blocks))

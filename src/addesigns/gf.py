@@ -414,11 +414,6 @@ def prime_power(q):
     return p, alpha
 
 
-def exp_log(field):
-    """The pair (exp, log) for a field: exp(i) = r^i, log its inverse."""
-    return field.exp, field.log
-
-
 def subgroup_generator(field, v):
     """A generator of the order-v subgroup of the multiplicative group."""
     if v < 1 or (field.q - 1) % v != 0:

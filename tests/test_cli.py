@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from addesigns import designs
+from addesigns import additivity, designs, geometry
 from addesigns.cli import main
 
 
@@ -217,3 +217,17 @@ def test_gen_ag(tmp_path):
     assert main(["gen", "ag", "--n", "2", "--q", "3", "--d", "1", "--out", str(out)]) == 0
     doc = read(out)
     assert doc["v"] == 9 and len(doc["blocks"]) == 12
+
+
+@pytest.mark.parametrize("argv,build", [
+    (["gen", "pg", "--n", "2", "--q", "3", "--d", "1"], lambda: geometry.pg_design(2, 3, 1)),
+    (["embed", "pg", "--n", "2", "--q", "3", "--d", "1"],
+     lambda: additivity.pg_strong_embedding(2, 3, 1)),
+])
+def test_emitted_bytes_match_json_dumps(tmp_path, capsys, argv, build):
+    want = (json.dumps(build().to_dict(), indent=2, sort_keys=True) + "\n").encode()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == want
+    out = tmp_path / "doc.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == want

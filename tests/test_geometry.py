@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from addesigns import geometry
+from addesigns import geometry, gf
 from addesigns.errors import DimensionOutOfRange, InvariantViolated
 
 
@@ -59,16 +59,16 @@ def test_pg_point_counts(n, q, count):
 def test_enumerate_subspaces_counts_and_points():
     lines = geometry.enumerate_subspaces(2, 2, 1)
     assert len(lines) == 7
-    for line in lines:
-        assert len(line.point_indices()) == geometry.bracket(2, 2)
+    for line in geometry.subspace_blocks(2, 2, 1):
+        assert len(line) == geometry.bracket(2, 2)
     assert len(geometry.enumerate_subspaces(3, 3, 1)) == 130
     hyper = geometry.enumerate_subspaces(3, 2, 2)
     assert len(hyper) == geometry.bracket(4, 2)
 
 
 def test_subspace_point_count_matches_bracket():
-    for s in geometry.enumerate_subspaces(3, 3, 2):
-        assert len(s.point_indices()) == geometry.bracket(3, 3)
+    for s in geometry.subspace_blocks(3, 3, 2):
+        assert len(s) == geometry.bracket(3, 3)
 
 
 def test_pg_design_fano():
@@ -111,9 +111,9 @@ def test_pg_design_pair_coverage_exhaustive(n, q, d):
 @pytest.mark.parametrize("n,q,d", [(3, 2, 1), (3, 3, 1), (4, 2, 2)])
 def test_pencil_size_duality(n, q, d):
     # hyperplanes containing a fixed d-subspace: [n-d]_q of them
-    hyperplanes = [set(s.point_indices()) for s in geometry.enumerate_subspaces(n, q, n - 1)]
-    for s in geometry.enumerate_subspaces(n, q, d)[:10]:
-        pts = set(s.point_indices())
+    hyperplanes = [set(s) for s in geometry.subspace_blocks(n, q, n - 1).tolist()]
+    for s in geometry.subspace_blocks(n, q, d)[:10].tolist():
+        pts = set(s)
         pencil = sum(1 for h in hyperplanes if pts <= h)
         assert pencil == geometry.bracket(n - d, q)
 
@@ -194,7 +194,8 @@ def test_pg_lambda_mismatch_is_typed(monkeypatch):
 
 def test_cyclic_block_count_mismatch_is_typed(monkeypatch):
     monkeypatch.setattr(geometry, "gaussian", _gaussian_off_by_one_at((3, 2, 2)))
-    with pytest.raises(InvariantViolated, match="7 blocks, expected 8"):
+    # the cyclic blocks are counted by the shared enumerator
+    with pytest.raises(InvariantViolated, match="gave 7 subspaces of dimension 1, expected 8"):
         geometry.pg_design_cyclic(2, 2, 1)
 
 
@@ -202,3 +203,165 @@ def test_cyclic_group_order_mismatch_is_typed(monkeypatch):
     monkeypatch.setattr(geometry, "bracket", lambda n, q: 8)
     with pytest.raises(InvariantViolated, match="is not 8"):
         geometry.pg_design_cyclic(2, 2, 1)
+
+
+# -- references: the three constructions the shared enumerator replaced ---
+#
+# Subspace.vectors/point_indices over the sorted RREF bases (PG), the
+# layer-growing closure inside GF(q^(n+1)) (cyclic PG), and translating
+# every subspace by every point and deduplicating the cosets (AG).
+
+
+def _ref_field(q):
+    return gf.make_field(*gf.prime_power(q))
+
+
+def _ref_rref_matrices(rows, cols, q):
+    for pivots in itertools.combinations(range(cols), rows):
+        pivot_set = set(pivots)
+        free = [
+            (i, j)
+            for i in range(rows)
+            for j in range(pivots[i] + 1, cols)
+            if j not in pivot_set
+        ]
+        for values in itertools.product(range(q), repeat=len(free)):
+            mat = [[0] * cols for _ in range(rows)]
+            for i, p in enumerate(pivots):
+                mat[i][p] = 1
+            for (i, j), val in zip(free, values):
+                mat[i][j] = val
+            yield tuple(tuple(row) for row in mat)
+
+
+def _ref_vectors(field, basis):
+    """All nonzero vectors of the span of basis."""
+    out = []
+    for coeffs in itertools.product(range(field.q), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        vec = [0] * len(basis[0])
+        for c, row in zip(coeffs, basis):
+            if c:
+                for j, r in enumerate(row):
+                    if r:
+                        vec[j] = field.add_code(vec[j], field.mul_code(c, r))
+        out.append(tuple(vec))
+    return out
+
+
+def _ref_normalize(field, vec):
+    lead = next(c for c in vec if c)
+    if lead == 1:
+        return tuple(vec)
+    inv = field.inv_code(lead)
+    return tuple(field.mul_code(inv, c) for c in vec)
+
+
+def reference_pg_blocks(n, q, d):
+    field = _ref_field(q)
+    pts = [v for v in itertools.product(range(q), repeat=n + 1)
+           if next((c for c in v if c), None) == 1]
+    index = {v: i for i, v in enumerate(pts)}
+    blocks = []
+    for basis in sorted(_ref_rref_matrices(d + 1, n + 1, q)):
+        vecs = _ref_vectors(field, basis)
+        blocks.append(tuple(sorted({index[_ref_normalize(field, v)] for v in vecs})))
+    return blocks
+
+
+def reference_cyclic_blocks(n, q, d, poly=None):
+    p, alpha = gf.prime_power(q)
+    field = gf.make_field(p, alpha * (n + 1), poly)
+    big = field.q - 1
+    v = geometry.bracket(n + 1, q)
+    scalars = [0] + [field._exp[(j * v) % big] for j in range(q - 1)]
+
+    def close(class_basis):
+        reps = [field._exp[i] for i in class_basis]
+        classes = set()
+        for coeffs in itertools.product(scalars, repeat=len(reps)):
+            acc = 0
+            for c, r in zip(coeffs, reps):
+                if c:
+                    acc = field.add_code(acc, field.mul_code(c, r))
+            if acc:
+                classes.add(field._log[acc] % v)
+        return frozenset(classes)
+
+    layer = {frozenset([i]): (i,) for i in range(v)}
+    for _ in range(d):
+        nxt = {}
+        for pts, basis in layer.items():
+            for j in range(v):
+                if j in pts:
+                    continue
+                grown = close(basis + (j,))
+                if grown not in nxt:
+                    nxt[grown] = basis + (j,)
+        layer = nxt
+    return sorted(tuple(sorted(pts)) for pts in layer)
+
+
+def reference_ag_blocks(n, q, d):
+    field = _ref_field(q)
+    pts = list(itertools.product(range(q), repeat=n))
+    index = {v: i for i, v in enumerate(pts)}
+    blocks = []
+    for mat in _ref_rref_matrices(d, n, q):
+        span = [tuple([0] * n)] + _ref_vectors(field, mat)
+        seen = set()
+        for t in pts:
+            seen.add(frozenset(
+                tuple(field.add_code(a, b) for a, b in zip(vec, t)) for vec in span
+            ))
+        for coset in sorted(sorted(index[v] for v in c) for c in seen):
+            blocks.append(tuple(coset))
+    return blocks
+
+
+QS = (2, 3, 4, 5, 7, 8, 9)
+# the references take seconds where b * q^(d+1) nears 10^6
+PG_GRID = [(n, q, d) for q in QS for n in (2, 3, 4) for d in range(1, n)
+           if geometry.gaussian(n + 1, d + 1, q) <= 3000
+           and geometry.gaussian(n + 1, d + 1, q) * q ** (d + 1) <= 1.5 * 10 ** 5]
+# the closure reference costs about v^(d+1) q^(d+1) field operations
+CYCLIC_GRID = [(n, q, d) for n, q, d in PG_GRID
+               if (geometry.bracket(n + 1, q) * q) ** (d + 1) <= 3 * 10 ** 6]
+AG_GRID = [(n, q, d) for q in QS for n in (2, 3, 4) for d in range(1, n)
+           if geometry.gaussian(n, d, q) * q ** n <= 10 ** 4]
+
+
+def test_oracle_grids_cover_every_field():
+    for grid in (PG_GRID, CYCLIC_GRID, AG_GRID):
+        assert {q for _, q, _ in grid} == set(QS)
+    assert {(n, d) for n, _, d in PG_GRID} == {(n, d) for n in (2, 3, 4) for d in range(1, n)}
+
+
+@pytest.mark.parametrize("n,q,d", PG_GRID)
+def test_pg_design_matches_reference(n, q, d):
+    assert geometry.pg_design(n, q, d).blocks == reference_pg_blocks(n, q, d)
+
+
+@pytest.mark.parametrize("n,q,d", CYCLIC_GRID)
+def test_pg_design_cyclic_matches_reference(n, q, d):
+    assert geometry.pg_design_cyclic(n, q, d).blocks == reference_cyclic_blocks(n, q, d)
+
+
+def test_pg_design_cyclic_with_given_poly_matches_reference():
+    poly = [1, 0, 0, 1, 2]
+    got = geometry.pg_design_cyclic(3, 3, 1, poly=poly).blocks
+    assert got == reference_cyclic_blocks(3, 3, 1, poly=poly)
+
+
+@pytest.mark.parametrize("n,q,d", AG_GRID)
+def test_ag_design_matches_reference(n, q, d):
+    assert geometry.ag_design(n, q, d).blocks == reference_ag_blocks(n, q, d)
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+def test_small_span_budget_gives_the_same_blocks(monkeypatch, budget):
+    monkeypatch.setattr(geometry, "_SPAN_BUDGET", budget)
+    assert geometry.pg_design(3, 3, 1).blocks == reference_pg_blocks(3, 3, 1)
+    assert geometry.pg_design_cyclic(2, 4, 1).blocks == reference_cyclic_blocks(2, 4, 1)
+    assert geometry.ag_design(3, 3, 1).blocks == reference_ag_blocks(3, 3, 1)

@@ -1,0 +1,44 @@
+"""The gen and embed documents of the benchmark's instances, byte for byte.
+
+The instances and the SHA-256 digests of their documents are read from
+perfbench/workloads.py and perfbench/expected.json, so a change to any
+document fails here as well as in a benchmark run.
+"""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from addesigns.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+NAMES = ["pg441", "ag432", "pg351c", "pg251-symmetric", "pg251c-subspace", "pg331-pg", "fano"]
+
+
+def _instances():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    every = [inst for group in workloads.WORKLOADS.values() for inst in group]
+    return {inst.name: inst for inst in every + workloads.SELFCHECK}
+
+
+INSTANCES = _instances()
+EXPECTED = json.loads((BENCH / "expected.json").read_text())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_benchmark_documents_match_golden_digests(tmp_path, name):
+    stages = [s for s in INSTANCES[name].stages if s.verb != "verify"]
+    assert stages
+    for stage in stages:
+        # {design} stands for the document an earlier stage wrote
+        args = [str(tmp_path / (a[1:-1] + ".json")) if a.startswith("{") else a
+                for a in stage.args]
+        out = tmp_path / (stage.output + ".json")
+        want = EXPECTED["%s/%s" % (name, stage.output)]
+        assert main(args + ["--out", str(out)]) == want["exit"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"], stage.args
