@@ -8,22 +8,23 @@ import math
 import numpy as np
 
 from . import gf
-from .designs import validate_2design
+from .designs import difference_counts, document_field, document_rows, validate_2design
 from .errors import (
     BadPrime,
     DegenerateOrder,
     DimensionOutOfRange,
     GroupMismatch,
-    NoZeroSigma,
+    InvariantViolated,
+    MalformedDocument,
     NotSubspaceBlocks,
     NotSymmetric,
     SizeMismatch,
     TooLarge,
 )
-from .geometry import ag_points, bracket, pg_points, subspace_blocks
+from .geometry import bracket, subspace_blocks
 
 DEFAULT_STRONG_CAP = 10 ** 7
-_STRONG_CHUNK = 10 ** 5  # elements (rows x t) one numpy call of verify_strong touches
+_STRONG_CHUNK = 10 ** 5  # elements (rows x t) one numpy call of the verifiers touches
 
 
 class AbelianGroup:
@@ -39,11 +40,6 @@ class AbelianGroup:
     def order(self):
         return self.m ** self.t
 
-    def reduce(self, vec):
-        if len(vec) != self.t:
-            raise GroupMismatch("expected rank-%d vector" % self.t)
-        return tuple(c % self.m for c in vec)
-
     def __eq__(self, other):
         return isinstance(other, AbelianGroup) and (self.m, self.t) == (other.m, other.t)
 
@@ -51,42 +47,48 @@ class AbelianGroup:
         return "Z_%d^%d" % (self.m, self.t)
 
 
-def zero_sum(group, elems):
-    """True iff the componentwise sum of elems is the identity."""
-    total = [0] * group.t
-    for e in elems:
-        if len(e) != group.t:
-            raise GroupMismatch("element of wrong rank")
-        for j, c in enumerate(e):
-            total[j] += c
-    return all(c % group.m == 0 for c in total)
-
-
 class Embedding:
-    """An injective point -> group-element assignment for a design."""
+    """A point -> group-element assignment for a design.
+
+    image is a (v x t) array of residues mod m in _residue_dtype(m); the
+    modulus must be below 2^63, so that a residue fits an int64 and the
+    sum of two fits a uint64.
+    """
 
     def __init__(self, group, image, kind, meta=None):
+        if group.m > np.iinfo(np.int64).max:
+            raise TooLarge("modulus %d is not below 2^63" % group.m)
+        image = np.asarray(image, dtype=np.int64)
+        if image.ndim != 2 or image.shape[1] != group.t:
+            raise GroupMismatch("expected rank-%d vectors" % group.t)
         self.group = group
-        self.image = [group.reduce(vec) for vec in image]
+        self.image = (image % group.m).astype(_residue_dtype(group.m))
         self.kind = kind
         self.meta = dict(meta or {})
 
     @property
     def injective(self):
-        return len(set(self.image)) == len(self.image)
+        keys = np.sort(_row_keys(self.image))
+        return not (keys[1:] == keys[:-1]).any()
 
     def to_dict(self):
         return {
             "group": {"m": self.group.m, "t": self.group.t},
             "kind": self.kind,
-            "image": [list(vec) for vec in self.image],
+            "image": self.image.tolist(),
             "meta": self.meta,
         }
 
     @classmethod
     def from_dict(cls, d):
-        group = AbelianGroup(d["group"]["m"], d["group"]["t"])
-        return cls(group, [tuple(v) for v in d["image"]], d["kind"], d.get("meta"))
+        group = document_field(d, "group", dict)
+        m, t = document_field(group, "m", int), document_field(group, "t", int)
+        if m < 2 or t < 1:
+            raise MalformedDocument("need modulus >= 2 and rank >= 1")
+        image = document_rows(d, "image")
+        if any(len(row) != t for row in image):
+            raise MalformedDocument("every image row must have length t = %d" % t)
+        return cls(AbelianGroup(m, t), image, document_field(d, "kind", str), d.get("meta"))
 
     def __repr__(self):
         return "Embedding(%s, %r, v=%d)" % (self.group, self.kind, len(self.image))
@@ -108,13 +110,6 @@ class Report:
         self.blocks = blocks
         self.failures = failures
         self.label = label  # "strict" | "almost-strict" | None
-
-    @property
-    def passed(self):
-        ok = self.injective and self.additive
-        if self.strong == "fail":
-            ok = False
-        return ok
 
     def to_dict(self):
         return {
@@ -148,12 +143,10 @@ def _additivity_label(group, v):
 
 
 def _complement_matrix_embedding(v, blocks, modulus, kind, meta):
-    group = AbelianGroup(modulus, v)
-    membership = [set(b) for b in blocks]
-    image = [
-        tuple(0 if i in blk else 1 for blk in membership) for i in range(v)
-    ]
-    return _injective(Embedding(group, image, kind, meta))
+    """Point i goes to the row that is 0 at the blocks through i, else 1."""
+    image = np.ones((v, len(blocks)), dtype=np.uint8)
+    image[blocks, np.arange(len(blocks))[:, None]] = 0
+    return _injective(Embedding(AbelianGroup(modulus, v), image, kind, meta))
 
 
 def symmetric_strong_embedding(design):
@@ -181,13 +174,9 @@ def pg_strong_embedding(n, q, d):
     """
     if not 1 <= d <= n - 1:
         raise DimensionOutOfRange("need 1 <= d <= n-1")
-    v = bracket(n + 1, q)
-    pts = pg_points(n, q)
-    if len(pts) != v:
-        raise SizeMismatch("PG(%d,%d) has %d points, expected %d" % (n, q, len(pts), v))
-    hyperplanes = subspace_blocks(n, q, n - 1).tolist()
     return _complement_matrix_embedding(
-        v, hyperplanes, q ** d, "pg-strong", {"n": n, "q": q, "d": d},
+        bracket(n + 1, q), subspace_blocks(n, q, n - 1), q ** d, "pg-strong",
+        {"n": n, "q": q, "d": d},
     )
 
 
@@ -207,32 +196,27 @@ def cyclic_embedding(ds, p, poly=None):
     t = gf.mult_order(p, v)
     field = gf.make_field(p, t, poly)
     e = (field.q - 1) // v
-    g = field.exp(e)
-    sigma = {}
-    for sign in (1, -1):
-        acc = 0
-        for d in ds.elems:
-            acc = field.add_code(acc, field._exp[(sign * e * d) % (field.q - 1)])
-        sigma[sign] = field.from_code(acc)
-    if sigma[1].code == 0:
+    powers = gf.digits(field._exp[::e], t, p)  # row x: g^x for g = r^e
+    elems = np.array(ds.elems)
+    sigma = {sign: powers[sign * elems % v].sum(axis=0) % p for sign in (1, -1)}
+    if not sigma[1].any():
         sign = 1
-    elif sigma[-1].code == 0:
+    elif not sigma[-1].any():
         sign = -1
     else:
-        raise NoZeroSigma("neither sigma_1 nor sigma_-1 vanished")  # impossible
-    group = AbelianGroup(p, t)
-    image = [field.exp((sign * e * x) % (field.q - 1)).coeffs for x in range(v)]
+        raise InvariantViolated("neither sigma_1 nor sigma_-1 vanished")
     meta = {
         "p": p,
         "t": t,
         "poly": list(field.prim_poly),
         "g_exponent": e,
-        "g": list(g.coeffs),
+        "g": powers[1].tolist(),
         "sign": sign,
-        "sigma_1": list(sigma[1].coeffs),
-        "sigma_-1": list(sigma[-1].coeffs),
+        "sigma_1": sigma[1].tolist(),
+        "sigma_-1": sigma[-1].tolist(),
     }
-    return _injective(Embedding(group, image, "cyclic-smooth", meta))
+    image = powers[sign * np.arange(v) % v]
+    return _injective(Embedding(AbelianGroup(p, t), image, "cyclic-smooth", meta))
 
 
 def sigma_product_is_zero(ds, p):
@@ -244,13 +228,7 @@ def sigma_product_is_zero(ds, p):
     so the product vanishes in GF(p^t) iff its reduction mod x^v - 1 has
     all coefficients congruent mod p.
     """
-    v = ds.v
-    coeffs = [0] * v
-    for d in ds.elems:
-        for d2 in ds.elems:
-            coeffs[(d - d2) % v] += 1
-    residues = {c % p for c in coeffs}
-    return len(residues) == 1
+    return len(np.unique(difference_counts(ds.v, ds.elems) % p)) == 1
 
 
 def subspace_embedding(m, q, design, poly=None):
@@ -265,57 +243,40 @@ def subspace_embedding(m, q, design, poly=None):
     v = bracket(m, q)
     if design.v != v:
         raise SizeMismatch("design has %d points, GF(%d^%d) classes: %d" % (design.v, q, m, v))
-    big = field.q - 1
-    group = AbelianGroup(p, alpha * m)
-    image = [field.coeffs_of_code(field._exp[(i * (q - 1)) % big]) for i in range(v)]
-    emb = _injective(Embedding(group, image, "subspace-smooth",
+    image = gf.digits(field._exp[::q - 1], alpha * m, p)  # row i: omega^(i(q-1))
+    emb = _injective(Embedding(AbelianGroup(p, alpha * m), image, "subspace-smooth",
                                {"q": q, "m": m, "poly": list(field.prim_poly)}))
-    for idx, blk in enumerate(design.blocks):
-        if not zero_sum(group, [image[i] for i in blk]):
-            raise NotSubspaceBlocks(
-                "block %d is not a subspace in this coordinatization" % idx
-            )
+    bad = next(_nonzero_block_sums(emb.image, design.blocks, p), None)
+    if bad is not None:
+        raise NotSubspaceBlocks("block %d is not a subspace in this coordinatization" % bad[0])
     return emb
 
 
 def ag_identity_embedding(n, q):
     """The identity map of AG(n,q): a point vector over F_q flattened to
-    its Z_p coefficient string, in ag_points order."""
+    its Z_p coefficient string, in ag_points order.
+
+    The coefficients of a code of GF(q) are its base-p digits, so the
+    string of a point is the base-p digits of its lexicographic code."""
     p, alpha = gf.prime_power(q)
-    field = gf.make_field(p, alpha)
-    group = AbelianGroup(p, alpha * n)
-    image = []
-    for vec in ag_points(n, q):
-        flat = []
-        for code in vec:
-            flat.extend(field.coeffs_of_code(code))
-        image.append(tuple(flat))
-    return _injective(Embedding(group, image, "identity", {"n": n, "q": q}))
+    image = gf.digits(np.arange(q ** n), alpha * n, p)
+    return _injective(Embedding(AbelianGroup(p, alpha * n), image, "identity", {"n": n, "q": q}))
 
 
 def verify_embedding(design, emb):
     """Check injectivity and that every block image is zero-sum."""
     if len(emb.image) != design.v:
         raise SizeMismatch("embedding covers %d points, design has %d" % (len(emb.image), design.v))
-    group = emb.group
-    failures = []
-    for idx, blk in enumerate(design.blocks):
-        total = [0] * group.t
-        for i in blk:
-            for j, c in enumerate(emb.image[i]):
-                total[j] += c
-        sums = tuple(c % group.m for c in total)
-        if any(sums):
-            failures.append([idx, list(sums)])
-    injective = emb.injective
+    failures = [[i, total.tolist()]
+                for i, total in _nonzero_block_sums(emb.image, design.blocks, emb.group.m)]
     return Report(
-        injective=injective,
+        injective=emb.injective,
         additive=not failures,
         strong="skipped",
         zero_sum_subsets=None,
         blocks=len(design.blocks),
         failures=failures,
-        label=_additivity_label(group, design.v),
+        label=_additivity_label(emb.group, design.v),
     )
 
 
@@ -330,6 +291,31 @@ def _residue_dtype(m):
 def _reduce(s, m):
     """s mod m for unsigned s < 2m: where s < m, s - m wraps above s."""
     return np.minimum(s, s - m)
+
+
+def _row_keys(rows):
+    """Each row of a 2-D array as one byte string, for sorting and lookup."""
+    key = np.dtype((np.void, rows.shape[1] * rows.itemsize))
+    return np.ascontiguousarray(rows).view(key).ravel()
+
+
+def _nonzero_block_sums(image, blocks, m):
+    """Yield (index, sum) for each block whose image rows do not sum to zero
+    mod m, in block order.
+
+    image is a (v, t) array of residues in _residue_dtype(m) and blocks a
+    (b, k) array of point indices; the sums are accumulated one block
+    column at a time over chunks of about _STRONG_CHUNK elements.
+    """
+    t = image.shape[1]
+    step = max(1, _STRONG_CHUNK // t)
+    for lo in range(0, len(blocks), step):
+        chunk = blocks[lo:lo + step]
+        total = np.zeros((len(chunk), t), image.dtype)
+        for column in chunk.T:
+            total = _reduce(total + image[column], m)
+        for i in np.flatnonzero(total.any(axis=1)).tolist():
+            yield lo + i, total[i]
 
 
 def _zero_sum_subsets(image, m, k):
@@ -349,8 +335,7 @@ def _zero_sum_subsets(image, m, k):
         yield ()
         return
     neg = _reduce(m - image, m)
-    row = np.dtype((np.void, t * image.itemsize))
-    keys = np.ascontiguousarray(image).view(row).ravel()
+    keys = _row_keys(image)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     width = min(k - 1, 2)
@@ -371,7 +356,7 @@ def _zero_sum_subsets(image, m, k):
             target = np.broadcast_to(partial, (len(rows), t))
             for j in range(width):
                 target = _reduce(target + neg[rows[:, j]], m)
-            wanted = np.ascontiguousarray(target).view(row).ravel()
+            wanted = _row_keys(target)
             lo = keys.searchsorted(wanted, "left")
             count = keys.searchsorted(wanted, "right") - lo
             hit = np.flatnonzero(count)
@@ -405,27 +390,18 @@ def verify_strong(design, emb, cap=DEFAULT_STRONG_CAP):
     exceeds cap the strong check is reported as skipped, not failed.
     """
     base = verify_embedding(design, emb)
-    k = design.k if design.validated else len(design.blocks[0])
-    v = design.v
-    if math.comb(v, k) > cap:
+    k = design.blocks.shape[1]
+    if math.comb(design.v, k) > cap:
         return base
-    m, t = emb.group.m, emb.group.t
+    m = emb.group.m
     if k * m > np.iinfo(np.int64).max:
         raise TooLarge("modulus %d is too large for the strong check" % m)
-    image = np.array(emb.image, dtype=_residue_dtype(m)).reshape(v, t)
-    blocks = set(design.blocks)
+    blocks = set(map(tuple, design.blocks.tolist()))
     found = 0
     stray = False
-    for subset in _zero_sum_subsets(image, m, k):
+    for subset in _zero_sum_subsets(emb.image, m, k):
         found += 1
         stray = stray or subset not in blocks
-    strong = "pass" if not stray and found == len(blocks) else "fail"
-    return Report(
-        injective=base.injective,
-        additive=base.additive,
-        strong=strong,
-        zero_sum_subsets=found,
-        blocks=base.blocks,
-        failures=base.failures,
-        label=base.label,
-    )
+    base.strong = "pass" if not stray and found == len(blocks) else "fail"
+    base.zero_sum_subsets = found
+    return base

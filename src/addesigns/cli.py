@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import additivity, designs, geometry
-from .errors import AddesignsError, SizeMismatch, TooLarge
+from .errors import AddesignsError, MalformedDocument, SizeMismatch, TooLarge
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -38,18 +38,9 @@ def _design_from_doc(doc):
     return design if design.validated else designs.validate_2design(design)
 
 
-def _design_from_file(path):
-    doc = _load(path)
-    if "blocks" not in doc:
-        raise SizeMismatch("%s is not a design document" % path)
-    return _design_from_doc(doc)
-
-
-def _diffset_from_file(path):
-    doc = _load(path)
-    if "set" not in doc:
-        raise SizeMismatch("%s is not a difference-set document" % path)
-    return designs.validate_difference_set(doc["v"], doc["set"])
+def _diffset_from_doc(doc):
+    v, elems = designs.document_field(doc, "v", int), designs.document_field(doc, "set", list)
+    return designs.validate_difference_set(v, elems)
 
 
 def cmd_gen(args):
@@ -80,12 +71,12 @@ def cmd_gen(args):
 def cmd_embed(args):
     poly = _parse_ints(args.poly) if args.poly else None
     if args.method == "symmetric":
-        design = _design_from_file(_require_input(args))
+        design = _design_from_doc(_load(_require_input(args)))
         emb = additivity.symmetric_strong_embedding(design)
     elif args.method == "cyclic":
         if args.p is None:
             raise SizeMismatch("embed cyclic needs --p")
-        ds = _diffset_from_file(_require_input(args))
+        ds = _diffset_from_doc(_load(_require_input(args)))
         emb = additivity.cyclic_embedding(ds, args.p, poly)
     elif args.method == "pg":
         if None in (args.n, args.q, args.d):
@@ -94,7 +85,7 @@ def cmd_embed(args):
     else:  # subspace
         if args.q is None:
             raise SizeMismatch("embed subspace needs --q")
-        design = _design_from_file(_require_input(args))
+        design = _design_from_doc(_load(_require_input(args)))
         m = _infer_field_degree(design.v, args.q)
         emb = additivity.subspace_embedding(m, args.q, design, poly)
     _emit(emb.to_dict(), args.out)
@@ -117,7 +108,7 @@ def _infer_field_degree(v, q):
 
 
 def cmd_verify(args):
-    design = _design_from_file(args.design)
+    design = _design_from_doc(_load(args.design))
     emb = additivity.Embedding.from_dict(_load(args.embedding))
     if args.strong:
         report = additivity.verify_strong(design, emb, cap=args.cap)
@@ -140,8 +131,7 @@ def cmd_info(args):
         design = _design_from_doc(doc)
         sys.stdout.write(repr(design) + "\n")
     elif "set" in doc:
-        ds = designs.validate_difference_set(doc["v"], doc["set"])
-        sys.stdout.write(repr(ds) + "\n")
+        sys.stdout.write(repr(_diffset_from_doc(doc)) + "\n")
     elif "image" in doc:
         emb = additivity.Embedding.from_dict(doc)
         sys.stdout.write(repr(emb) + "\n")
@@ -206,7 +196,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SizeMismatch, TooLarge) as exc:
+    except (MalformedDocument, SizeMismatch, TooLarge) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except AddesignsError as exc:

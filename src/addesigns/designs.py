@@ -1,9 +1,12 @@
 """Incidence structures with validated 2-design parameters, difference
 sets and their developments, and the Paley and Singer constructions.
 
-Blocks are stored as sorted point-index tuples, so the structures here
-are agnostic of whatever geometry produced them.
+A design's blocks are a (b x k) integer array of point indices with
+sorted rows, so the structures here are agnostic of whatever geometry
+produced them.
 """
+
+import itertools
 
 import numpy as np
 
@@ -11,46 +14,73 @@ from . import gf
 from .errors import (
     BadModulus,
     EmptyDesign,
+    MalformedDocument,
     NotDifferenceSet,
     NotTwoDesign,
+    TooLarge,
     UnequalBlockSizes,
 )
+
+_INT64 = np.iinfo(np.int64)
+
+
+def document_field(doc, key, kind):
+    """doc[key], which must exist and be of type `kind` (a bool is not an int)."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MalformedDocument("document needs %r of type %s" % (key, kind.__name__))
+    return value
+
+
+def document_rows(doc, key):
+    """doc[key], which must be a list of lists of 64-bit integers."""
+    rows = document_field(doc, key, list)
+    # a row that is not a list contributes a None, which fails the type test
+    flat = list(itertools.chain.from_iterable(r if isinstance(r, list) else [None] for r in rows))
+    if not {int} >= set(map(type, flat)):
+        raise MalformedDocument("%r must be a list of lists of integers" % key)
+    if flat and not _INT64.min <= min(flat) <= max(flat) <= _INT64.max:
+        raise TooLarge("%r has entries beyond 64-bit integers" % key)
+    return rows
 
 
 class Design:
     """A finite incidence structure on v points.
 
-    params (k, lam, r, b, symmetric) are attached by validate_2design;
-    until then they are None.
+    blocks is a (b x k) int64 array, each row sorted.  params (k, lam, r,
+    b, symmetric) are attached by validate_2design; until then they are
+    None.
     """
 
     def __init__(self, v, blocks, points=None):
+        if not isinstance(blocks, np.ndarray):
+            sizes = sorted({len(b) for b in blocks})
+            if len(sizes) > 1:
+                raise UnequalBlockSizes("block sizes %s" % sizes)
+            blocks = np.array(blocks, dtype=np.int64).reshape(len(blocks), sizes[0] if sizes else 0)
+        if blocks.size and (blocks.min() < 0 or blocks.max() >= v):
+            raise NotTwoDesign("block index out of range")
+        blocks = np.sort(blocks, axis=1).astype(np.int64, copy=False)
+        if (blocks[:, 1:] == blocks[:, :-1]).any():
+            raise NotTwoDesign("repeated point inside a block")
         self.v = v
-        self.blocks = [tuple(sorted(b)) for b in blocks]
+        self.blocks = blocks
         self.points = list(points) if points is not None else [str(i) for i in range(v)]
         self.k = None
         self.lam = None
         self.r = None
         self.b = None
         self.symmetric = None
-        for blk in self.blocks:
-            if any(not (0 <= i < v) for i in blk):
-                raise NotTwoDesign("block index out of range")
-            if len(set(blk)) != len(blk):
-                raise NotTwoDesign("repeated point inside a block")
 
     @property
     def validated(self):
         return self.k is not None
 
-    def block_sets(self):
-        return {frozenset(b) for b in self.blocks}
-
     def to_dict(self):
         d = {
             "v": self.v,
             "points": self.points,
-            "blocks": [list(b) for b in self.blocks],
+            "blocks": self.blocks.tolist(),
         }
         if self.validated:
             d["k"] = self.k
@@ -61,7 +91,7 @@ class Design:
     def from_dict(cls, d):
         """Read a design; a document that claims k (and lambda) is
         validated, and the claims must match what its blocks give."""
-        design = cls(d["v"], d["blocks"], d.get("points"))
+        design = cls(document_field(d, "v", int), document_rows(d, "blocks"), d.get("points"))
         if "k" in d:
             design = validate_2design(design)
             claimed = (d["k"], d.get("lambda", design.lam))
@@ -110,14 +140,11 @@ def _pair_counts(blocks, replication):
 
 
 def validate_2design(design):
-    """Exhaustively count pairs and attach (k, lam, r, b) to a design."""
-    if design.v < 2 or not design.blocks:
+    """Exhaustively count pairs, attach (k, lam, r, b) to the design and
+    return it."""
+    blocks = design.blocks
+    if design.v < 2 or not len(blocks):
         raise EmptyDesign("need v >= 2 and at least one block")
-    sizes = {len(b) for b in design.blocks}
-    if len(sizes) != 1:
-        raise UnequalBlockSizes("block sizes %s" % sorted(sizes))
-    k = sizes.pop()
-    blocks = np.array(design.blocks, dtype=np.int64)
     replication = np.bincount(blocks.ravel(), minlength=design.v)
     lam_values = set()
     for counts in _pair_counts(blocks, replication):
@@ -131,13 +158,12 @@ def validate_2design(design):
     r_values = set(replication.tolist())
     if len(r_values) != 1:
         raise NotTwoDesign("replication numbers range over %s" % sorted(r_values))
-    out = Design(design.v, design.blocks, design.points)
-    out.k = k
-    out.lam = lam
-    out.r = r_values.pop()
-    out.b = len(design.blocks)
-    out.symmetric = out.b == design.v
-    return out
+    design.k = blocks.shape[1]
+    design.lam = lam
+    design.r = r_values.pop()
+    design.b = len(blocks)
+    design.symmetric = design.b == design.v
+    return design
 
 
 class DifferenceSet:
@@ -159,6 +185,15 @@ class DifferenceSet:
         return "DifferenceSet(%d, %d, %d)" % (self.v, self.k, self.lam)
 
 
+def difference_counts(v, elems):
+    """counts[r]: the ordered pairs (a, b) of elems with a - b = r mod v."""
+    arr = np.array(elems, dtype=np.int64)
+    counts = np.zeros(v, dtype=np.int64)
+    for d in elems:
+        counts += np.bincount((d - arr) % v, minlength=v)
+    return counts
+
+
 def validate_difference_set(v, elems):
     """Certify that elems is a (v, k, lam) difference set in Z_v."""
     D = sorted(x % v for x in elems)
@@ -170,10 +205,7 @@ def validate_difference_set(v, elems):
     if k * (k - 1) % (v - 1) != 0:
         raise NotDifferenceSet("k(k-1) = %d not divisible by v-1 = %d" % (k * (k - 1), v - 1))
     lam = k * (k - 1) // (v - 1)
-    arr = np.array(D, dtype=np.int64)
-    counts = np.zeros(v, dtype=np.int64)
-    for d in D:
-        counts += np.bincount((d - arr) % v, minlength=v)
+    counts = difference_counts(v, D)
     counts[0] = lam  # drop the k self-differences
     deviant = np.nonzero(counts != lam)[0]
     if deviant.size:
@@ -186,9 +218,7 @@ def validate_difference_set(v, elems):
 
 def develop(ds):
     """The symmetric design (Z_v, {D+i : 0 <= i < v}) of a certified set."""
-    blocks = [
-        tuple(sorted((d + i) % ds.v for d in ds.elems)) for i in range(ds.v)
-    ]
+    blocks = (np.array(ds.elems) + np.arange(ds.v)[:, None]) % ds.v
     return validate_2design(Design(ds.v, blocks))
 
 

@@ -71,6 +71,10 @@ class BadModulus(AddesignsError):
     pass
 
 
+class MalformedDocument(AddesignsError):
+    """A JSON document lacks a field or holds one of the wrong type."""
+
+
 # --- embedding errors ---
 
 class GroupMismatch(AddesignsError):
@@ -86,10 +90,6 @@ class DegenerateOrder(AddesignsError):
 
 
 class BadPrime(AddesignsError):
-    pass
-
-
-class NoZeroSigma(AddesignsError):
     pass
 
 

@@ -59,13 +59,6 @@ def _tables(field, elem):
     return add, mul
 
 
-def _digits(codes, length, q):
-    """The vectors of the given lexicographic codes: base-q digits, most
-    significant first."""
-    weights = q ** np.arange(length - 1, -1, -1)
-    return (codes[:, None] // weights % q).astype(np.min_scalar_type(q - 1))
-
-
 def _point_codes(length, q):
     """Codes of the vectors whose first nonzero label is 1, ascending: the
     points of PG(length-1,q).  Those with the 1 at position length-1-i
@@ -74,10 +67,16 @@ def _point_codes(length, q):
 
 
 def pg_points(n, q):
-    """All normalized points of PG(n,q) in lexicographic order."""
+    """All normalized points of PG(n,q) in lexicographic order, as the
+    rows of a ([n+1]_q, n+1) array."""
     if n < 1:
         raise DimensionOutOfRange("need n >= 1")
-    return [tuple(v) for v in _digits(_point_codes(n + 1, q), n + 1, q).tolist()]
+    return gf.digits(_point_codes(n + 1, q), n + 1, q)
+
+
+def _labels(points):
+    """Point names: the coordinates of each row joined by colons."""
+    return [":".join(map(str, row)) for row in points]
 
 
 def _rref_bases(rows, cols, q):
@@ -95,7 +94,7 @@ def _rref_bases(rows, cols, q):
         mats[:, range(rows), pivots] = 1
         if free:
             fi, fj = zip(*free)
-            mats[:, fi, fj] = _digits(np.arange(len(mats)), len(free), q)
+            mats[:, fi, fj] = gf.digits(np.arange(len(mats)), len(free), q)
         yield pivots, mats
 
 
@@ -154,7 +153,7 @@ def subspace_blocks(n, q, d, tables=None, labels=None):
     point_of[_point_codes(n + 1, q)] = np.arange(v) if labels is None else labels
     # An RREF basis times a normalized coefficient vector is normalized:
     # its first nonzero coordinate sits at the first used pivot.
-    coeffs = _digits(_point_codes(d + 1, q), d + 1, q)
+    coeffs = gf.digits(_point_codes(d + 1, q), d + 1, q)
     return _span_points(*tables, enumerate_subspaces(n, q, d), coeffs, point_of)
 
 
@@ -162,8 +161,8 @@ def pg_design(n, q, d):
     """The 2-design of points and d-subspaces of PG(n,q)."""
     if not 1 <= d <= n - 1:
         raise DimensionOutOfRange("need 1 <= d <= n-1")
-    labels = [":".join(str(c) for c in v) for v in pg_points(n, q)]
-    design = validate_2design(Design(len(labels), subspace_blocks(n, q, d).tolist(), labels))
+    labels = _labels(pg_points(n, q))
+    design = validate_2design(Design(len(labels), subspace_blocks(n, q, d), labels))
     if design.lam != gaussian(n - 1, d - 1, q):
         raise InvariantViolated(
             "PG_%d(%d,%d) has lambda %d, expected %d"
@@ -173,8 +172,9 @@ def pg_design(n, q, d):
 
 
 def ag_points(n, q):
-    """All q^n vectors of F_q^n in lexicographic code order."""
-    return list(itertools.product(range(q), repeat=n))
+    """All q^n vectors of F_q^n in lexicographic code order, as the rows of
+    a (q^n, n) array."""
+    return gf.digits(np.arange(q ** n), n, q)
 
 
 def ag_design(n, q, d):
@@ -190,10 +190,9 @@ def ag_design(n, q, d):
     """
     if not 1 <= d <= n - 1:
         raise DimensionOutOfRange("need 1 <= d <= n-1")
-    pts = ag_points(n, q)
-    labels = [":".join(str(c) for c in v) for v in pts]
+    labels = _labels(ag_points(n, q))
     tables = _tables(_field(q), range(q))
-    affine = _digits(np.arange(q ** d, 2 * q ** d), d + 1, q)  # coefficients (1, c)
+    affine = gf.digits(np.arange(q ** d, 2 * q ** d), d + 1, q)  # coefficients (1, c)
     point_of = np.arange(-q ** n, q ** n)  # (1, x) has code q^n + code of x
     blocks = []
     for pivots, bases in _rref_bases(d + 1, n + 1, q):
@@ -204,8 +203,8 @@ def ag_design(n, q, d):
         # and runs in lexicographic order, so regrouped by W the cosets
         # come sorted.
         cosets = _span_points(*tables, bases, affine, point_of).reshape(q ** (n - d), -1, q ** d)
-        blocks += cosets.swapaxes(0, 1).reshape(-1, q ** d).tolist()
-    return validate_2design(Design(len(pts), blocks, labels))
+        blocks.append(cosets.swapaxes(0, 1).reshape(-1, q ** d))
+    return validate_2design(Design(len(labels), np.concatenate(blocks), labels))
 
 
 def pg_design_cyclic(n, q, d, poly=None):
@@ -228,13 +227,13 @@ def pg_design_cyclic(n, q, d, poly=None):
     if big != v * (q - 1):
         raise InvariantViolated("|GF(%d)*| = %d is not %d * %d" % (field.q, big, v, q - 1))
     exp = np.array(field._exp)
-    elem = [0] + exp[np.arange(q - 1) * v].tolist()
+    elem = [0] + field._exp[::v]  # 1, omega^v, ..., omega^((q-2)v)
     terms = np.zeros((n + 1, q), dtype=np.int64)  # terms[j, x]: code of x omega^j
     terms[:, 1:] = exp[(np.arange(q - 1) * v + np.arange(n + 1)[:, None]) % big]
-    pts = _digits(_point_codes(n + 1, q), n + 1, q)
+    pts = pg_points(n, q)
     weights = p ** np.arange(field.n)
     # the sum of the terms of each point, digit by digit over Z_p
     digits = sum(terms[j, pts[:, j]][:, None] // weights % p for j in range(n + 1))
     classes = np.array(field._log)[digits % p @ weights] % v
-    blocks = sorted(subspace_blocks(n, q, d, _tables(field, elem), classes).tolist())
-    return validate_2design(Design(v, blocks))
+    blocks = subspace_blocks(n, q, d, _tables(field, elem), classes)
+    return validate_2design(Design(v, blocks[np.lexsort(blocks.T[::-1])]))

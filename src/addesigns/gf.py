@@ -189,9 +189,6 @@ class FieldSpec:
     def element(self, coeffs):
         return FieldElement(self, self.code_of_coeffs(coeffs))
 
-    def from_code(self, code):
-        return FieldElement(self, code)
-
     @property
     def zero(self):
         return FieldElement(self, 0)
@@ -242,11 +239,6 @@ class FieldSpec:
         if b == 0:
             raise DivisionByZero("division by zero")
         return self.mul_code(a, self.inv_code(b))
-
-    def pow_code(self, a, k):
-        if a == 0:
-            return 1 if k == 0 else 0
-        return self._exp[(self._log[a] * k) % (self.q - 1)]
 
     # -- exp / log ------------------------------------------------------
 
@@ -412,6 +404,15 @@ def prime_power(q):
     if m != 1:
         raise NotPrime("%d is not a prime power" % q)
     return p, alpha
+
+
+def digits(codes, length, base):
+    """The rows of base-`base` digits of the codes, most significant first.
+
+    For codes of GF(p^n) with base p and length n these are the
+    coefficient vectors, highest degree first."""
+    weights = base ** np.arange(length - 1, -1, -1)
+    return (np.asarray(codes)[:, None] // weights % base).astype(np.min_scalar_type(base - 1))
 
 
 def subgroup_generator(field, v):

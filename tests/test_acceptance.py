@@ -66,13 +66,14 @@ def test_criterion_1_plane3_cyclic_golden():
     assert tuple(emb.meta["sigma_1"]) == (0, 0, 2)
     assert tuple(emb.meta["sigma_-1"]) == (0, 0, 0)
     assert emb.meta["sign"] == -1
-    assert emb.image[0] == (0, 0, 1)
+    image = [tuple(row) for row in emb.image.tolist()]
+    assert image[0] == (0, 0, 1)
     # point listing runs along powers of the order-13 generator
     for j, pt in enumerate(PLANE3_POINTS):
-        assert emb.image[(-j) % 13] == pt
+        assert image[(-j) % 13] == pt
     design = develop(ds)
-    for j, blk in enumerate(design.blocks):
-        assert {emb.image[x] for x in blk} == PLANE3_BLOCKS[j]
+    for j, blk in enumerate(design.blocks.tolist()):
+        assert {image[x] for x in blk} == PLANE3_BLOCKS[j]
     assert verify_embedding(design, emb).additive
     assert time.perf_counter() - start < 1.0
 
@@ -88,9 +89,11 @@ def test_criterion_2_pg133_subspace_golden():
         (0, 5, 26, 34): {"0001", "1121", "1002", "1212"},
         (0, 10, 20, 30): {"0001", "2210", "0002", "1120"},
     }
+    blocks = [tuple(b) for b in design.blocks.tolist()]
+    image = [tuple(row) for row in emb.image.tolist()]
     for blk, expect in golden.items():
-        assert blk in design.blocks
-        assert {emb.image[i] for i in blk} == {tup(s) for s in expect}
+        assert blk in blocks
+        assert {image[i] for i in blk} == {tup(s) for s in expect}
     report = verify_embedding(design, emb)
     assert report.additive and report.blocks == 130 and not report.failures
     assert time.perf_counter() - start < 1.0

@@ -1,11 +1,16 @@
 import itertools
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addesigns import additivity, geometry, gf
 from addesigns.additivity import (
     AbelianGroup,
     Embedding,
+    Report,
     ag_identity_embedding,
     cyclic_embedding,
     pg_strong_embedding,
@@ -14,15 +19,23 @@ from addesigns.additivity import (
     symmetric_strong_embedding,
     verify_embedding,
     verify_strong,
-    zero_sum,
 )
-from addesigns.designs import develop, paley_diffset, singer_diffset, validate_difference_set
+from addesigns.designs import (
+    DifferenceSet,
+    develop,
+    paley_diffset,
+    singer_diffset,
+    validate_difference_set,
+)
 from addesigns.errors import (
     BadPrime,
     DegenerateOrder,
     GroupMismatch,
+    InvariantViolated,
+    NotSubspaceBlocks,
     NotSymmetric,
     SizeMismatch,
+    TooLarge,
 )
 
 
@@ -46,17 +59,30 @@ PLANE3_BLOCKS = [
 PLANE3_BLOCKS = [{tup(s) for s in blk} for blk in PLANE3_BLOCKS]
 
 
+def rows(array):
+    """The rows of a block or image array as a list of tuples."""
+    return [tuple(r) for r in array.tolist()]
+
+
+def block_failures(group, elems):
+    """What the block-sum kernel reports for the single block {elems}."""
+    emb = Embedding(group, elems, "test")
+    block = np.arange(len(elems)).reshape(1, -1)
+    return [(i, s.tolist())
+            for i, s in additivity._nonzero_block_sums(emb.image, block, group.m)]
+
+
 def test_zero_sum_basic():
     g = AbelianGroup(3, 3)
-    assert zero_sum(g, [(0, 0, 0)])
-    assert not zero_sum(g, [(0, 0, 1), (1, 0, 0)])
+    assert block_failures(g, [(0, 0, 0)]) == []
+    assert block_failures(g, [(0, 0, 1), (1, 0, 0)]) == [(0, [1, 0, 1])]
     with pytest.raises(GroupMismatch):
-        zero_sum(g, [(0, 0)])
+        block_failures(g, [(0, 0)])  # a rank-2 element has no place in Z_3^3
 
 
 def test_zero_sum_quartic_block():
     g = AbelianGroup(3, 4)
-    assert zero_sum(g, [(0, 0, 0, 1), (2, 2, 1, 0), (0, 0, 0, 2), (1, 1, 2, 0)])
+    assert block_failures(g, [(0, 0, 0, 1), (2, 2, 1, 0), (0, 0, 0, 2), (1, 1, 2, 0)]) == []
 
 
 def test_symmetric_strong_fano():
@@ -108,13 +134,14 @@ def test_cyclic_embedding_plane3_golden():
     assert tuple(emb.meta["sigma_-1"]) == (0, 0, 0)
     assert emb.meta["sign"] == -1
     assert tuple(emb.meta["g"]) == (1, 0, 0)  # r^2
-    assert emb.image[0] == (0, 0, 1)
+    image = rows(emb.image)
+    assert image[0] == (0, 0, 1)
     # the point listing enumerates the image along powers of g
     for j, pt in enumerate(PLANE3_POINTS):
-        assert emb.image[(-j) % 13] == pt
+        assert image[(-j) % 13] == pt
     design = develop(ds)
-    for j, blk in enumerate(design.blocks):
-        assert {emb.image[x] for x in blk} == PLANE3_BLOCKS[j]
+    for j, blk in enumerate(rows(design.blocks)):
+        assert {image[x] for x in blk} == PLANE3_BLOCKS[j]
 
 
 def test_cyclic_embedding_mersenne_7():
@@ -160,9 +187,10 @@ def test_subspace_embedding_pg133_golden():
         (0, 5, 26, 34): {"0001", "1121", "1002", "1212"},
         (0, 10, 20, 30): {"0001", "2210", "0002", "1120"},
     }
+    image = rows(emb.image)
     for blk, expect in base_blocks.items():
-        assert blk in d.blocks
-        assert {emb.image[i] for i in blk} == {tup(s) for s in expect}
+        assert blk in rows(d.blocks)
+        assert {image[i] for i in blk} == {tup(s) for s in expect}
     report = verify_embedding(d, emb)
     assert report.additive and report.blocks == 130
 
@@ -173,7 +201,7 @@ def test_subspace_embedding_q2_is_field_identity():
     emb = subspace_embedding(3, 2, d)
     field = gf.make_field(2, 3)
     for i in range(7):
-        assert emb.image[i] == field.exp(i).coeffs
+        assert rows(emb.image)[i] == field.exp(i).coeffs
     assert verify_embedding(d, emb).additive
 
 
@@ -307,5 +335,125 @@ def test_embedding_json_roundtrip():
     doc = emb.to_dict()
     back = Embedding.from_dict(doc)
     assert back.group == emb.group
-    assert back.image == emb.image
+    assert rows(back.image) == rows(emb.image)
     assert back.meta["sign"] == emb.meta["sign"]
+
+
+def test_embedding_reduces_residues_and_bounds_the_modulus():
+    emb = Embedding(AbelianGroup(5, 2), [(7, -1), (0, 10)], "test")
+    assert rows(emb.image) == [(2, 4), (0, 0)]
+    Embedding(AbelianGroup(2 ** 63 - 1, 1), [(2 ** 63 - 2,)], "test")
+    with pytest.raises(TooLarge):
+        Embedding(AbelianGroup(2 ** 63, 1), [(0,)], "test")
+
+
+def test_injective_compares_whole_rows():
+    assert Embedding(AbelianGroup(3, 2), [(0, 1), (1, 0), (1, 1)], "test").injective
+    assert not Embedding(AbelianGroup(3, 2), [(0, 1), (1, 0), (0, 1)], "test").injective
+
+
+def test_cyclic_embedding_without_vanishing_sigma_is_typed():
+    # {0, 1} in Z_7 is no difference set: 1 + g and 1 + g^-1 are both nonzero
+    with pytest.raises(InvariantViolated, match="neither sigma"):
+        cyclic_embedding(DifferenceSet(7, [0, 1], 0), 2)
+
+
+def reference_sigma_product_is_zero(ds, p):
+    """The O(k^2) difference count sigma_product_is_zero used to run."""
+    coeffs = [0] * ds.v
+    for d in ds.elems:
+        for d2 in ds.elems:
+            coeffs[(d - d2) % ds.v] += 1
+    return len({c % p for c in coeffs}) == 1
+
+
+def test_sigma_product_matches_double_loop_reference():
+    sets = [ds for _, _, ds in _singer_sets_up_to(100)]
+    sets += [paley_diffset(v) for v in (7, 11, 19, 23)]
+    outcomes = set()
+    for ds in sets:
+        for p in (2, 3, 5, 7, 11, 13):
+            got = sigma_product_is_zero(ds, p)
+            assert got == reference_sigma_product_is_zero(ds, p), (ds, p)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+# -- the block-sum kernel against the per-block loop it replaced ----------
+
+
+def reference_verify_embedding(design, emb):
+    """Sum every block's image coordinate by coordinate in Python."""
+    image = rows(emb.image)
+    m, t = emb.group.m, emb.group.t
+    failures = []
+    for idx, blk in enumerate(rows(design.blocks)):
+        total = [0] * t
+        for i in blk:
+            for j, c in enumerate(image[i]):
+                total[j] += c
+        sums = [c % m for c in total]
+        if any(sums):
+            failures.append([idx, sums])
+    order = m ** t
+    return Report(
+        injective=len(set(image)) == len(image),
+        additive=not failures,
+        strong="skipped",
+        zero_sum_subsets=None,
+        blocks=len(design.blocks),
+        failures=failures,
+        label="strict" if order == design.v else "almost-strict" if order == design.v + 1 else None,
+    )
+
+
+def _additive_cases():
+    fano = geometry.pg_design(2, 2, 1)
+    plane3 = validate_difference_set(13, [0, 1, 3, 9])
+    return [
+        (fano, symmetric_strong_embedding(fano)),
+        (develop(plane3), cyclic_embedding(plane3, 3, poly=[1, 2, 0, 1])),
+        (geometry.pg_design(3, 2, 1), pg_strong_embedding(3, 2, 1)),
+    ]
+
+
+ADDITIVE = _additive_cases()
+CHUNKS = [1, 7, additivity._STRONG_CHUNK]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("case", range(len(ADDITIVE)), ids=["fano", "plane3", "pg132"])
+def test_additive_embeddings_match_reference(case, chunk):
+    design, emb = ADDITIVE[case]
+    with mock.patch.object(additivity, "_STRONG_CHUNK", chunk):
+        report = verify_embedding(design, emb)
+    assert report.additive and report.injective
+    assert report.to_dict() == reference_verify_embedding(design, emb).to_dict()
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_changed_coordinate_fails_exactly_the_blocks_through_it(chunk, data):
+    design, emb = data.draw(st.sampled_from(ADDITIVE))
+    m, t = emb.group.m, emb.group.t
+    x = data.draw(st.integers(0, design.v - 1))
+    j = data.draw(st.integers(0, t - 1))
+    image = emb.image.tolist()
+    image[x][j] = (image[x][j] + data.draw(st.integers(1, m - 1))) % m
+    changed = Embedding(emb.group, image, emb.kind)
+    with mock.patch.object(additivity, "_STRONG_CHUNK", chunk):
+        report = verify_embedding(design, changed)
+    assert report.to_dict() == reference_verify_embedding(design, changed).to_dict()
+    through = [i for i, blk in enumerate(rows(design.blocks)) if x in blk]
+    assert [i for i, _ in report.failures] == through
+
+
+def test_subspace_embedding_names_the_first_block_that_is_no_subspace():
+    # the image depends only on the field, and the vector-labelled Fano
+    # lines are not subspaces in the cyclic coordinates
+    vector = geometry.pg_design(2, 2, 1)
+    emb = subspace_embedding(3, 2, geometry.pg_design_cyclic(2, 2, 1))
+    first = reference_verify_embedding(vector, emb).failures[0][0]
+    with pytest.raises(NotSubspaceBlocks, match="block %d is not" % first):
+        subspace_embedding(3, 2, vector)

@@ -231,3 +231,98 @@ def test_emitted_bytes_match_json_dumps(tmp_path, capsys, argv, build):
     out = tmp_path / "doc.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == want
+
+
+# -- malformed documents exit 2 without a traceback ------------------------
+
+
+def _fano_documents(tmp_path):
+    design, emb = tmp_path / "fano.json", tmp_path / "emb.json"
+    main(["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--out", str(design)])
+    main(["embed", "symmetric", str(design), "--out", str(emb)])
+    return design, emb
+
+
+def _exit_and_error(capsys, argv):
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return rc, err
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: doc.pop("v"),
+    lambda doc: doc.pop("blocks"),
+    lambda doc: doc.update(blocks="abc"),
+    lambda doc: doc.update(blocks=[[0, 1, "2"]] + doc["blocks"][1:]),
+    lambda doc: doc.update(blocks=[[0, 1, 2.0]] + doc["blocks"][1:]),
+    lambda doc: doc.update(blocks=[[0, 1, True]] + doc["blocks"][1:]),
+    lambda doc: doc.update(blocks=[7] + doc["blocks"][1:]),
+    lambda doc: doc.update(v="7"),
+    lambda doc: doc.update(blocks=[[0, 1, 2 ** 64]] + doc["blocks"][1:]),
+], ids=["no-v", "no-blocks", "blocks-string", "str-entry", "float-entry", "bool-entry",
+        "row-not-list", "v-string", "entry-beyond-64-bits"])
+def test_malformed_design_exits_2(tmp_path, capsys, change):
+    design, emb = _fano_documents(tmp_path)
+    doc = read(design)
+    change(doc)
+    design.write_text(json.dumps(doc))
+    # info prints a document without "blocks" as plain JSON
+    infos = [["info", str(design)]] if "blocks" in doc else []
+    for argv in [["verify", str(design), str(emb)]] + infos:
+        rc, err = _exit_and_error(capsys, argv)
+        assert rc == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: doc.pop("image"),
+    lambda doc: doc.pop("group"),
+    lambda doc: doc.pop("kind"),
+    lambda doc: doc["group"].pop("m"),
+    lambda doc: doc.update(image=[[0] * 6] + doc["image"][1:]),
+    lambda doc: doc.update(image=[[0.5] * 7] + doc["image"][1:]),
+    lambda doc: doc.update(image=doc["image"][:3] + ["x"] + doc["image"][4:]),
+    lambda doc: doc["group"].update(m=1),
+    lambda doc: doc["group"].update(t=0),
+    lambda doc: doc["group"].update(m=2 ** 64),
+], ids=["no-image", "no-group", "no-kind", "no-m", "short-row", "float-entry",
+        "row-not-list", "m-1", "t-0", "m-2^64"])
+def test_malformed_embedding_exits_2(tmp_path, capsys, change):
+    design, emb = _fano_documents(tmp_path)
+    doc = read(emb)
+    change(doc)
+    emb.write_text(json.dumps(doc))
+    # info prints a document without "image" as plain JSON
+    infos = [["info", str(emb)]] if "image" in doc else []
+    for argv in [["verify", str(design), str(emb)]] + infos:
+        rc, err = _exit_and_error(capsys, argv)
+        assert rc == 2 and err.startswith("error: ")
+
+
+def test_modulus_of_2_63_is_too_large(tmp_path, capsys):
+    design, emb = _fano_documents(tmp_path)
+    doc = read(emb)
+    doc["group"]["m"] = 2 ** 63
+    emb.write_text(json.dumps(doc))
+    rc, err = _exit_and_error(capsys, ["verify", str(design), str(emb)])
+    assert rc == 2 and "2^63" in err
+
+
+def test_info_without_v_exits_2(tmp_path, capsys):
+    design, _ = _fano_documents(tmp_path)
+    doc = read(design)
+    del doc["v"]
+    design.write_text(json.dumps(doc))
+    rc, err = _exit_and_error(capsys, ["info", str(design)])
+    assert rc == 2 and "'v'" in err
+
+
+def test_ragged_blocks_exit_1(tmp_path, capsys):
+    design, emb = _fano_documents(tmp_path)
+    doc = read(design)
+    doc["blocks"][0] = [0, 1]
+    design.write_text(json.dumps(doc))
+    for argv in (["verify", str(design), str(emb)], ["info", str(design)]):
+        rc, err = _exit_and_error(capsys, argv)
+        assert rc == 1 and err.startswith("UnequalBlockSizes: block sizes [2, 3]")

@@ -43,6 +43,17 @@ def test_validate_rejects_unequal_sizes():
         validate_2design(Design(4, [(0, 1), (0, 1, 2)]))
 
 
+@pytest.mark.parametrize("blocks, message", [
+    ([(0, 1, 2), (0, 3, 3)], "repeated point inside a block"),
+    ([(0, 1, 2), (0, 3, 4)], "block index out of range"),
+    ([(-1, 1, 2)], "block index out of range"),
+    (np.array([[2, 1, 2]]), "repeated point inside a block"),
+])
+def test_design_rejects_bad_blocks(blocks, message):
+    with pytest.raises(NotTwoDesign, match=message):
+        Design(4, blocks)
+
+
 def test_validate_rejects_empty():
     with pytest.raises(EmptyDesign):
         validate_2design(Design(4, []))
@@ -74,8 +85,8 @@ def test_develop_singer_13():
     d = develop(ds)
     assert (d.v, d.k, d.lam, d.b) == (13, 4, 1, 13)
     assert d.symmetric
-    assert d.blocks[0] == (0, 1, 3, 9)
-    assert (1, 2, 4, 10) in d.blocks
+    assert d.blocks[0].tolist() == [0, 1, 3, 9]
+    assert [1, 2, 4, 10] in d.blocks.tolist()
 
 
 def test_develop_paley7_is_fano_isomorphic():
@@ -178,7 +189,7 @@ def test_design_json_roundtrip():
     doc = d.to_dict()
     assert doc["k"] == 3 and doc["lambda"] == 1
     back = Design.from_dict(doc)
-    assert back.blocks == d.blocks and back.lam == 1
+    assert back.blocks.tolist() == d.blocks.tolist() and back.lam == 1
 
 
 @pytest.mark.parametrize("key, value", [("k", 4), ("lambda", 2)])
@@ -199,15 +210,16 @@ def test_diffset_json():
 
 def reference_validate_2design(design):
     """Count every pair in a dictionary; (k, lam, r, b) or the error."""
-    if design.v < 2 or not design.blocks:
+    blocks = design.blocks.tolist()
+    if design.v < 2 or not blocks:
         raise EmptyDesign("need v >= 2 and at least one block")
-    sizes = {len(b) for b in design.blocks}
+    sizes = {len(b) for b in blocks}
     if len(sizes) != 1:
         raise UnequalBlockSizes("block sizes %s" % sorted(sizes))
     k = sizes.pop()
     replication = [0] * design.v
     pair_counts = {}
-    for blk in design.blocks:
+    for blk in blocks:
         for i, x in enumerate(blk):
             replication[x] += 1
             for y in blk[i + 1:]:
@@ -221,7 +233,7 @@ def reference_validate_2design(design):
     r_values = set(replication)
     if len(r_values) != 1:
         raise NotTwoDesign("replication numbers range over %s" % sorted(r_values))
-    return k, lam, r_values.pop(), len(design.blocks)
+    return k, lam, r_values.pop(), len(blocks)
 
 
 def _outcome(validate, design):

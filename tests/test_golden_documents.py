@@ -1,8 +1,10 @@
-"""The gen and embed documents of the benchmark's instances, byte for byte.
+"""The gen, embed and verify outcomes of the benchmark's instances.
 
-The instances and the SHA-256 digests of their documents are read from
-perfbench/workloads.py and perfbench/expected.json, so a change to any
-document fails here as well as in a benchmark run.
+The instances, the SHA-256 digests of their documents and the checked
+fields of their verify reports are read from perfbench/workloads.py and
+perfbench/expected.json, so a change to any of them fails here as well
+as in a benchmark run.  The verify stages run on the documents as
+generated, without the benchmark's point relabelling.
 """
 
 import hashlib
@@ -16,6 +18,10 @@ from addesigns.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 NAMES = ["pg441", "ag432", "pg351c", "pg251-symmetric", "pg251c-subspace", "pg331-pg", "fano"]
+
+
+# the report fields perfbench/run.py checks
+REPORT_FIELDS = ("additive", "strong", "zero_sum_subsets", "failures", "label")
 
 
 def _instances():
@@ -32,7 +38,7 @@ EXPECTED = json.loads((BENCH / "expected.json").read_text())
 
 @pytest.mark.parametrize("name", NAMES)
 def test_benchmark_documents_match_golden_digests(tmp_path, name):
-    stages = [s for s in INSTANCES[name].stages if s.verb != "verify"]
+    stages = INSTANCES[name].stages
     assert stages
     for stage in stages:
         # {design} stands for the document an earlier stage wrote
@@ -40,5 +46,11 @@ def test_benchmark_documents_match_golden_digests(tmp_path, name):
                 for a in stage.args]
         out = tmp_path / (stage.output + ".json")
         want = EXPECTED["%s/%s" % (name, stage.output)]
-        assert main(args + ["--out", str(out)]) == want["exit"]
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"], stage.args
+        code = main(args + ["--out", str(out)])
+        if stage.verb == "verify":
+            report = json.loads(out.read_text())
+            got = {"exit": code, "report": {f: report.get(f) for f in REPORT_FIELDS}}
+            assert got == want, stage.args
+        else:
+            assert code == want["exit"]
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"], stage.args
