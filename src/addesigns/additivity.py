@@ -3,7 +3,9 @@ for additivity (all blocks zero-sum) and strong additivity (the zero-sum
 k-subsets of the embedded point set are exactly the blocks).
 """
 
+import logging
 import math
+import time
 
 import numpy as np
 
@@ -23,8 +25,12 @@ from .errors import (
 )
 from .geometry import bracket, subspace_blocks
 
-DEFAULT_STRONG_CAP = 10 ** 7
-_STRONG_CHUNK = 10 ** 5  # elements (rows x t) one numpy call of the verifiers touches
+DEFAULT_STRONG_CAP = 10 ** 8  # estimated work (_strong_split): about a minute
+_STRONG_CHUNK = 10 ** 5  # elements (rows x t) one numpy call of the verifiers touches;
+#                         a chunk of the strong check's subsets takes about as many bytes
+_STRONG_KEEP = 1 << 21  # subsets the kept half of the strong check may hold
+
+_logger = logging.getLogger("addesigns")
 
 
 class AbelianGroup:
@@ -318,90 +324,182 @@ def _nonzero_block_sums(image, blocks, m):
             yield lo + i, total[i]
 
 
-def _zero_sum_subsets(image, m, k):
-    """Yield each zero-sum k-subset of the rows of image as a sorted tuple.
+def _key_coordinates(m, t):
+    """How many coordinates of Z_m^t one uint64 key packs: t, or the
+    largest s with m^s <= 2^64 if that is fewer."""
+    s = 1
+    while s < t and m ** (s + 1) <= 2 ** 64:
+        s += 1
+    return s
+
+
+def _splitmix64(n):
+    """The first n outputs of the splitmix64 generator from seed 0."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _project(image, m, s):
+    """The rows of image mapped into Z_m^s: unchanged if s = t, else by a
+    fixed pseudo-random linear map, computed exactly."""
+    t = image.shape[1]
+    if s == t:
+        return image
+    matrix = (_splitmix64(t * s) % np.uint64(m)).reshape(t, s)
+    if (m - 1) ** 2 * t <= np.iinfo(np.int64).max:
+        proj = np.einsum("ij,jk->ik", image, matrix.astype(np.int64), dtype=np.int64) % m
+    else:  # the dot products need more than 64 bits
+        proj = image.astype(object) @ matrix.astype(object) % m
+    return proj.astype(image.dtype)
+
+
+def _subset_sums(rows, m, r, step):
+    """Yield (subsets, sums) over the r-subsets of the rows of a (v, s)
+    residue array, in lexicographic order, step subsets at a time:
+    subsets is an (n, r) array of row indices, sums the (n, s) array of
+    their sums mod m.
+
+    A chunk is a range of ranks, unranked in numpy one point at a time
+    from the co-rank d (subsets from this one to the last): with j points
+    left to place, the next point p is the last with C(v - p, j) >= d,
+    and d drops by C(v - p - 1, j).  Every count used is at most C(v, r).
+    """
+    v, s = rows.shape
+    total = math.comb(v, r)
+    # below[j][p] = -C(v - p, j), ascending in p, capped where it exceeds C(v, r)
+    below = [-np.array([min(math.comb(v - p, j), total) for p in range(v + 1)], np.int64)
+             for j in range(r + 1)]
+    for lo in range(0, total, step):
+        corank = total - np.arange(lo, min(total, lo + step))
+        subsets = np.empty((len(corank), r), np.intp)
+        sums = np.zeros((len(corank), s), rows.dtype)
+        for j in range(r, 0, -1):
+            point = below[j].searchsorted(-corank, "right") - 1
+            subsets[:, r - j] = point
+            sums = _reduce(sums + rows[point], m)
+            corank += below[j][point + 1]
+        yield subsets, sums
+
+
+def _zero_sum_sets(image, m, k, a, stats):
+    """Yield arrays whose rows are the zero-sum k-subsets of the rows of
+    image, each sorted and each once, and count the work in stats.
 
     image is a (v, t) array of residues mod m in _residue_dtype(m).  A
-    k-subset S + {x} with max(S) < x is zero-sum iff image[x] = -sum(S),
-    so only the (k-1)-subsets S are enumerated, with their negated sums
-    carried down, and the completing points x are looked up in the image
-    rows sorted as byte strings, which keeps every point of a repeated
-    row.  The leading points of S are chosen in Python; its last (up to)
-    two come from a lexicographic table handled _STRONG_CHUNK elements at
-    a time in numpy.
+    k-set is split into A, its first a points, and B, the other k - a; it
+    is zero-sum iff sum(A) = -sum(B), so the a-subsets A are kept sorted
+    by the key of their sum and the (k - a)-subsets B are streamed in
+    chunks and matched against them with searchsorted; a matched pair is
+    a k-set iff max(A) < min(B).  Index sets are counted, not images, so
+    repeated rows are handled.  A key packs the residues themselves when
+    m^t <= 2^64 (see _key_coordinates), else their image under a fixed
+    linear map (_project), and then every pair is confirmed by its exact
+    sum; a pair that fails is a projection false positive.
     """
     v, t = image.shape
-    if k == 0:
-        yield ()
-        return
-    neg = _reduce(m - image, m)
-    keys = _row_keys(image)
-    order = np.argsort(keys, kind="stable")
+    s = _key_coordinates(m, t)
+    proj = _project(image, m, s)
+    # a chunk of subsets or of pairs takes about _STRONG_CHUNK bytes: s
+    # residues and about k + 8 int64 indices and counters each
+    step = max(1, _STRONG_CHUNK // (s * image.itemsize + 8 * (k + 8)))
+    weights = np.array([m ** i for i in range(s)], dtype=np.uint64)
+
+    def pack(sums):  # the residues (y_0, ..., y_(s-1)) as the sum of y_i m^i
+        return np.einsum("ij,j->i", sums, weights, dtype=np.uint64)  # no (n, s) uint64 copy
+
+    kept, keys = [], []
+    for subsets, sums in _subset_sums(proj[:v - k + a], m, a, step):
+        kept.append(subsets.astype(np.int32))
+        keys.append(pack(sums))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")  # the first default-kind argsort adds 0.3 MB RSS
     keys = keys[order]
-    width = min(k - 1, 2)
-    if width == 2:
-        tail = np.column_stack(np.triu_indices(v, 1))
-    elif width == 1:
-        tail = np.arange(v).reshape(v, 1)
-    else:
-        tail = np.zeros((1, 0), dtype=np.intp)
-    last = tail[:, -1] if width else np.full(1, -1)
-    starts = np.searchsorted(tail[:, 0], np.arange(v), "right") if width else None
-    lead = k - 1 - width
-    step = max(1, _STRONG_CHUNK // t)
+    kept = np.concatenate(kept)
+    kept = kept[order]
+    del order
+    last = kept[:, -1] if a else np.full(len(kept), -1)
+    stats.update(kept=len(keys), streamed=0, pairs=0, false_positives=0)
+    # B is streamed over the negated rows, so its sums are the keys it wants
+    for subsets, sums in _subset_sums(_reduce(m - proj[a:], m), m, k - a, step):
+        stats["streamed"] += len(subsets)
+        want = pack(sums)
+        # sorted queries let searchsorted walk the keys once
+        by_key = np.argsort(want, kind="stable")
+        want = want[by_key]
+        lo = keys.searchsorted(want)
+        hit = np.flatnonzero(keys[np.minimum(lo, len(keys) - 1)] == want)
+        if not hit.size:
+            continue
+        lo, subsets = lo[hit], subsets[by_key[hit]] + a
+        count = keys.searchsorted(want[hit], "right") - lo
+        ends = np.cumsum(count)
+        stats["pairs"] += int(ends[-1])
+        least = subsets[:, 0] if k > a else np.full(len(subsets), v)
+        for p in range(0, int(ends[-1]), step):
+            pair = np.arange(p, min(int(ends[-1]), p + step))
+            b = ends.searchsorted(pair, "right")
+            i = lo[b] + pair - (ends[b] - count[b])
+            keep = last[i] < least[b]
+            sets = np.hstack((kept[i[keep]], subsets[b[keep]]))
+            if s < t:
+                bad = [j for j, _ in _nonzero_block_sums(image, sets, m)]
+                stats["false_positives"] += len(bad)
+                sets = np.delete(sets, bad, axis=0)
+            yield sets
 
-    def complete(prefix, partial, first):
-        for c in range(first, len(tail), step):
-            rows = tail[c:c + step]
-            target = np.broadcast_to(partial, (len(rows), t))
-            for j in range(width):
-                target = _reduce(target + neg[rows[:, j]], m)
-            wanted = _row_keys(target)
-            lo = keys.searchsorted(wanted, "left")
-            count = keys.searchsorted(wanted, "right") - lo
-            hit = np.flatnonzero(count)
-            if not hit.size:
-                continue
-            n = count[hit]
-            rep = np.repeat(hit, n)
-            xs = order[np.arange(rep.size) + np.repeat(lo[hit] - np.cumsum(n) + n, n)]
-            keep = xs > last[c + rep]
-            for body, x in zip(rows[rep[keep]].tolist(), xs[keep].tolist()):
-                yield prefix + tuple(body) + (x,)
 
-    def descend(start, prefix, partial):
-        depth = len(prefix)
-        if depth == lead:
-            yield from complete(prefix, partial, starts[prefix[-1]] if prefix else 0)
-            return
-        # leave room for the remaining k - depth - 1 picks
-        for i in range(start, v - (k - depth) + 1):
-            yield from descend(i + 1, prefix + (i,), _reduce(partial + neg[i], m))
+def _strong_split(v, k, m, s):
+    """(work, a): the split of _zero_sum_sets with the least estimated
+    work among those whose kept half holds at most _STRONG_KEEP subsets.
 
-    yield from descend(0, (), np.zeros(t, image.dtype))
+    The work is the a-subsets kept plus the (k - a)-subsets streamed plus
+    the equal-key pairs expected if the m^s keys were hit at random.
+    """
+    splits = []
+    for a in range(k // 2 + 1):
+        kept, streamed = math.comb(v - k + a, a), math.comb(v - a, k - a)
+        if kept <= _STRONG_KEEP:  # always so for a = 0
+            splits.append((kept + streamed + kept * streamed // m ** s, a))
+    return min(splits)
 
 
 def verify_strong(design, emb, cap=DEFAULT_STRONG_CAP):
     """Compare the blocks against the zero-sum k-subsets of the embedded
     point set.
 
-    The work is about C(v,k-1) lookups (see _zero_sum_subsets), and each
-    zero-sum set is checked against the blocks as it is found.  If C(v,k)
-    exceeds cap the strong check is reported as skipped, not failed.
+    The zero-sum sets are found by meet in the middle (_zero_sum_sets),
+    with the split of least estimated work (_strong_split), and each is
+    checked against the blocks as it is found.  If that estimate exceeds
+    cap the strong check is reported as skipped, not failed.  Logs the
+    split, the work counters and the seconds at DEBUG level on the
+    "addesigns" logger.
     """
     base = verify_embedding(design, emb)
     k = design.blocks.shape[1]
-    if math.comb(design.v, k) > cap:
-        return base
     m = emb.group.m
+    work, a = _strong_split(design.v, k, m, _key_coordinates(m, emb.group.t))
+    if work > cap:
+        return base
     if k * m > np.iinfo(np.int64).max:
         raise TooLarge("modulus %d is too large for the strong check" % m)
+    if work > np.iinfo(np.int64).max:
+        raise TooLarge("estimated work %d of the strong check exceeds 2^63" % work)
+    start = time.perf_counter()
     blocks = set(map(tuple, design.blocks.tolist()))
     found = 0
     stray = False
-    for subset in _zero_sum_subsets(emb.image, m, k):
-        found += 1
-        stray = stray or subset not in blocks
+    stats = {}
+    for sets in _zero_sum_sets(emb.image, m, k, a, stats):
+        found += len(sets)
+        stray = stray or not blocks.issuperset(map(tuple, sets.tolist()))
     base.strong = "pass" if not stray and found == len(blocks) else "fail"
     base.zero_sum_subsets = found
+    _logger.debug(
+        "verify_strong v=%d k=%d split=%d estimate=%d kept=%d streamed=%d "
+        "equal_key_pairs=%d false_positives=%d zero_sum=%d seconds=%.6f",
+        design.v, k, a, work, stats["kept"], stats["streamed"], stats["pairs"],
+        stats["false_positives"], found, time.perf_counter() - start,
+    )
     return base

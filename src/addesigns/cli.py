@@ -38,11 +38,6 @@ def _design_from_doc(doc):
     return design if design.validated else designs.validate_2design(design)
 
 
-def _diffset_from_doc(doc):
-    v, elems = designs.document_field(doc, "v", int), designs.document_field(doc, "set", list)
-    return designs.validate_difference_set(v, elems)
-
-
 def cmd_gen(args):
     poly = _parse_ints(args.poly) if args.poly else None
     if args.kind == "pg":
@@ -76,7 +71,7 @@ def cmd_embed(args):
     elif args.method == "cyclic":
         if args.p is None:
             raise SizeMismatch("embed cyclic needs --p")
-        ds = _diffset_from_doc(_load(_require_input(args)))
+        ds = designs.DifferenceSet.from_dict(_load(_require_input(args)))
         emb = additivity.cyclic_embedding(ds, args.p, poly)
     elif args.method == "pg":
         if None in (args.n, args.q, args.d):
@@ -116,7 +111,7 @@ def cmd_verify(args):
         report = additivity.verify_embedding(design, emb)
     _emit(report.to_dict(), args.out)
     if args.strong and report.strong == "skipped":
-        sys.stderr.write("strong check skipped: C(v,k) exceeds cap\n")
+        sys.stderr.write("strong check skipped: estimated work exceeds cap\n")
         return EXIT_USAGE
     if not (report.injective and report.additive):
         return EXIT_MATH
@@ -131,7 +126,7 @@ def cmd_info(args):
         design = _design_from_doc(doc)
         sys.stdout.write(repr(design) + "\n")
     elif "set" in doc:
-        sys.stdout.write(repr(_diffset_from_doc(doc)) + "\n")
+        sys.stdout.write(repr(designs.DifferenceSet.from_dict(doc)) + "\n")
     elif "image" in doc:
         emb = additivity.Embedding.from_dict(doc)
         sys.stdout.write(repr(emb) + "\n")
@@ -181,7 +176,9 @@ def build_parser():
     ver.add_argument("--strong", action="store_true",
                      help="also compare blocks against all zero-sum k-subsets")
     ver.add_argument("--cap", type=int, default=additivity.DEFAULT_STRONG_CAP,
-                     help="maximum C(v,k) for the strong enumeration")
+                     help="maximum estimated work of the strong check: subsets whose "
+                          "sums are keyed plus expected equal-key pairs "
+                          "(default %(default)d, about a minute)")
     ver.add_argument("--out")
     ver.set_defaults(func=cmd_verify)
 

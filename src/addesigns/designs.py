@@ -37,11 +37,16 @@ def document_rows(doc, key):
     rows = document_field(doc, key, list)
     # a row that is not a list contributes a None, which fails the type test
     flat = list(itertools.chain.from_iterable(r if isinstance(r, list) else [None] for r in rows))
-    if not {int} >= set(map(type, flat)):
-        raise MalformedDocument("%r must be a list of lists of integers" % key)
-    if flat and not _INT64.min <= min(flat) <= max(flat) <= _INT64.max:
-        raise TooLarge("%r has entries beyond 64-bit integers" % key)
+    _check_int64(key, flat, "a list of lists of integers")
     return rows
+
+
+def _check_int64(key, values, shape):
+    """Raise unless every entry of values is an int (not a bool) within int64."""
+    if not {int} >= set(map(type, values)):
+        raise MalformedDocument("%r must be %s" % (key, shape))
+    if values and not _INT64.min <= min(values) <= max(values) <= _INT64.max:
+        raise TooLarge("%r has entries beyond 64-bit integers" % key)
 
 
 class Design:
@@ -181,6 +186,16 @@ class DifferenceSet:
     def to_dict(self):
         return {"v": self.v, "set": list(self.elems)}
 
+    @classmethod
+    def from_dict(cls, d):
+        """Read and certify a difference set."""
+        v = document_field(d, "v", int)
+        if v < 2:
+            raise MalformedDocument("a difference-set document needs v >= 2")
+        elems = document_field(d, "set", list)
+        _check_int64("set", elems, "a list of integers")
+        return validate_difference_set(v, elems)
+
     def __repr__(self):
         return "DifferenceSet(%d, %d, %d)" % (self.v, self.k, self.lam)
 
@@ -196,6 +211,8 @@ def difference_counts(v, elems):
 
 def validate_difference_set(v, elems):
     """Certify that elems is a (v, k, lam) difference set in Z_v."""
+    if v < 2:
+        raise NotDifferenceSet("need v >= 2")
     D = sorted(x % v for x in elems)
     if len(set(D)) != len(D):
         raise NotDifferenceSet("repeated elements")

@@ -129,6 +129,13 @@ def test_criterion_4_pg_strong():
     assert math.comb(40, 4) == 91390
     r2 = verify_strong(d2, pg_strong_embedding(3, 3, 1))
     assert r2.strong == "pass" and r2.zero_sum_subsets == 130
+
+    # cases the old cap on C(v,k) refused, now under the default cap
+    for (n, q, d), b in [((3, 4, 1), 357), ((5, 2, 2), 1395), ((2, 7, 1), 57), ((3, 5, 1), 806)]:
+        design = geometry.pg_design(n, q, d)
+        assert design.b == b
+        report = verify_strong(design, pg_strong_embedding(n, q, d))
+        assert report.strong == "pass" and report.zero_sum_subsets == b, (n, q, d)
     assert time.perf_counter() - start < 10.0
 
 

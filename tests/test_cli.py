@@ -126,6 +126,25 @@ def test_verify_cap_skip_exit_2(tmp_path, capsys):
     assert json.loads(out.out)["strong"] == "skipped"
 
 
+def test_verify_cap_skip_names_the_estimate(tmp_path, capsys):
+    design, emb = _fano_documents(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(design), str(emb), "--strong", "--cap", "19"]) == 2
+    assert capsys.readouterr().err == "strong check skipped: estimated work exceeds cap\n"
+
+
+def test_verify_strong_pg134_under_the_default_cap(tmp_path, capsys):
+    # v = 85, k = 5: C(85,5) = 3.3e7 exceeded the old cap on C(v,k)
+    design, emb, report = tmp_path / "pg.json", tmp_path / "emb.json", tmp_path / "r.json"
+    assert main(["gen", "pg", "--n", "3", "--q", "4", "--d", "1", "--out", str(design)]) == 0
+    assert main(["embed", "pg", "--n", "3", "--q", "4", "--d", "1", "--out", str(emb)]) == 0
+    assert main(["verify", str(design), str(emb), "--strong", "--out", str(report)]) == 0
+    doc = read(report)
+    assert len(read(design)["blocks"]) == 357
+    assert doc["strong"] == "pass" and doc["zero_sum_subsets"] == 357
+    assert capsys.readouterr().err == ""
+
+
 def test_outputs_are_bit_identical_across_runs(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -298,6 +317,46 @@ def test_malformed_embedding_exits_2(tmp_path, capsys, change):
     for argv in [["verify", str(design), str(emb)]] + infos:
         rc, err = _exit_and_error(capsys, argv)
         assert rc == 2 and err.startswith("error: ")
+
+
+def _plane3_set(tmp_path):
+    path = tmp_path / "set.json"
+    main(["gen", "dev", "--v", "13", "--set", "0,1,3,9", "--format", "diffset",
+          "--out", str(path)])
+    return path
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: doc.pop("v"),
+    lambda doc: doc.pop("set"),
+    lambda doc: doc.update(set="0,1,3,9"),
+    lambda doc: doc.update(set=["a", 1, 3, 9]),
+    lambda doc: doc.update(set=[0.5, 1, 3, 9]),
+    lambda doc: doc.update(set=[True, 1, 3, 9]),
+    lambda doc: doc.update(set=[[0], 1, 3, 9]),
+    lambda doc: doc.update(set=[0, 1, 3, 2 ** 64]),
+    lambda doc: doc.update(v=0),
+    lambda doc: doc.update(v=1),
+    lambda doc: doc.update(v=-13),
+    lambda doc: doc.update(v=13.0),
+], ids=["no-v", "no-set", "set-string", "str-entry", "float-entry", "bool-entry",
+        "list-entry", "entry-beyond-64-bits", "v-0", "v-1", "v-negative", "v-float"])
+def test_malformed_difference_set_exits_2(tmp_path, capsys, change):
+    path = _plane3_set(tmp_path)
+    doc = read(path)
+    change(doc)
+    path.write_text(json.dumps(doc))
+    # info prints a document without "set" as plain JSON
+    infos = [["info", str(path)]] if "set" in doc else []
+    for argv in [["embed", "cyclic", str(path), "--p", "3"]] + infos:
+        rc, err = _exit_and_error(capsys, argv)
+        assert rc == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("v", ["0", "1"])
+def test_gen_dev_with_v_below_2_is_not_a_difference_set(capsys, v):
+    rc, err = _exit_and_error(capsys, ["gen", "dev", "--v", v, "--set", "0,1"])
+    assert rc == 1 and err.startswith("NotDifferenceSet: need v >= 2")
 
 
 def test_modulus_of_2_63_is_too_large(tmp_path, capsys):

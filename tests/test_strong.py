@@ -1,5 +1,11 @@
-"""The strong-additivity verifier against an independent brute force."""
+"""The strong-additivity verifier against two independent oracles: the
+C(v,k) recursion and the (k-1)-subset lookup it replaced."""
 
+import logging
+import math
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +16,10 @@ from addesigns.additivity import (
     Embedding,
     Report,
     _injective,
+    _reduce,
+    _row_keys,
+    _strong_split,
+    _zero_sum_sets,
     cyclic_embedding,
     pg_strong_embedding,
     subspace_embedding,
@@ -56,6 +66,78 @@ def reference_verify_strong(design, emb):
     )
 
 
+def reference_zero_sum_subsets(image, m, k):
+    """Yield each zero-sum k-subset of the rows of image as a sorted tuple.
+
+    A k-subset S + {x} with max(S) < x is zero-sum iff image[x] = -sum(S),
+    so only the (k-1)-subsets S are enumerated, with their negated sums
+    carried down, and the completing points x are looked up in the image
+    rows sorted as byte strings, which keeps every point of a repeated
+    row.  The leading points of S are chosen in Python; its last (up to)
+    two come from a lexicographic table handled _STRONG_CHUNK elements at
+    a time in numpy.
+    """
+    v, t = image.shape
+    if k == 0:
+        yield ()
+        return
+    neg = _reduce(m - image, m)
+    keys = _row_keys(image)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    width = min(k - 1, 2)
+    if width == 2:
+        tail = np.column_stack(np.triu_indices(v, 1))
+    elif width == 1:
+        tail = np.arange(v).reshape(v, 1)
+    else:
+        tail = np.zeros((1, 0), dtype=np.intp)
+    last = tail[:, -1] if width else np.full(1, -1)
+    starts = np.searchsorted(tail[:, 0], np.arange(v), "right") if width else None
+    lead = k - 1 - width
+    step = max(1, additivity._STRONG_CHUNK // t)
+
+    def complete(prefix, partial, first):
+        for c in range(first, len(tail), step):
+            rows = tail[c:c + step]
+            target = np.broadcast_to(partial, (len(rows), t))
+            for j in range(width):
+                target = _reduce(target + neg[rows[:, j]], m)
+            wanted = _row_keys(target)
+            lo = keys.searchsorted(wanted, "left")
+            count = keys.searchsorted(wanted, "right") - lo
+            hit = np.flatnonzero(count)
+            if not hit.size:
+                continue
+            n = count[hit]
+            rep = np.repeat(hit, n)
+            xs = order[np.arange(rep.size) + np.repeat(lo[hit] - np.cumsum(n) + n, n)]
+            keep = xs > last[c + rep]
+            for body, x in zip(rows[rep[keep]].tolist(), xs[keep].tolist()):
+                yield prefix + tuple(body) + (x,)
+
+    def descend(start, prefix, partial):
+        depth = len(prefix)
+        if depth == lead:
+            yield from complete(prefix, partial, starts[prefix[-1]] if prefix else 0)
+            return
+        # leave room for the remaining k - depth - 1 picks
+        for i in range(start, v - (k - depth) + 1):
+            yield from descend(i + 1, prefix + (i,), _reduce(partial + neg[i], m))
+
+    yield from descend(0, (), np.zeros(t, image.dtype))
+
+
+def lookup_verify_strong(design, emb):
+    """The strong check by (k-1)-subset lookup, with no cap."""
+    base = verify_embedding(design, emb)
+    blocks = set(map(tuple, design.blocks.tolist()))
+    found = list(reference_zero_sum_subsets(emb.image, emb.group.m, design.blocks.shape[1]))
+    base.strong = "pass" if set(found) == blocks and len(found) == len(blocks) else "fail"
+    base.zero_sum_subsets = len(found)
+    return base
+
+
 DESIGNS = [
     geometry.pg_design(2, 2, 1),  # Fano plane
     develop(validate_difference_set(13, [0, 1, 3, 9])),  # (13,4,1) plane
@@ -79,8 +161,9 @@ def design_and_embedding(draw):
 @given(design_and_embedding())
 def test_verify_strong_matches_brute_force(case):
     design, emb = case
-    expected = reference_verify_strong(design, emb)
-    assert verify_strong(design, emb).to_dict() == expected.to_dict()
+    expected = reference_verify_strong(design, emb).to_dict()
+    assert lookup_verify_strong(design, emb).to_dict() == expected
+    assert verify_strong(design, emb).to_dict() == expected
 
 
 @pytest.mark.parametrize("design", DESIGNS[:2], ids=["fano", "plane3"])
@@ -111,7 +194,7 @@ def test_verify_strong_chunking_matches_brute_force(chunk, monkeypatch):
 
 
 def test_verify_strong_pg431_near_default_cap():
-    # C(121,4) = 8 495 410 subsets, t = 121: several chunks per prefix
+    # v = t = 121 and 3^121 > 2^64: keys project to 40 coordinates
     design = geometry.pg_design(4, 3, 1)
     report = verify_strong(design, pg_strong_embedding(4, 3, 1))
     assert report.strong == "pass" and report.zero_sum_subsets == 1210
@@ -154,3 +237,90 @@ def test_non_injective_construction_raises():
     emb = Embedding(AbelianGroup(2, 1), [(0,), (1,), (1,)], "test")
     with pytest.raises(GroupMismatch):
         _injective(emb)
+
+
+def _zero_sum_sets_by_split(design, emb):
+    k = design.blocks.shape[1]
+    for a in range(k // 2 + 1):
+        sets = [tuple(row) for chunk in _zero_sum_sets(emb.image, emb.group.m, k, a, {})
+                for row in chunk.tolist()]
+        yield a, sets
+
+
+@settings(max_examples=40, deadline=None)
+@given(design_and_embedding())
+def test_every_split_finds_the_zero_sum_sets_once(case):
+    design, emb = case
+    expected = sorted(reference_zero_sum_subsets(emb.image, emb.group.m, design.k))
+    for a, sets in _zero_sum_sets_by_split(design, emb):
+        assert sorted(sets) == expected, a
+
+
+def _strong_log(caplog):
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("verify_strong")]
+    assert record.name == "addesigns" and record.levelno == logging.DEBUG
+    return {key: float(value) for key, value in re.findall(r"(\w+)=([\d.]+)", record.getMessage())}
+
+
+@pytest.mark.parametrize("case", ["fano", "plane3"])
+def test_forced_key_collisions_are_caught_by_the_exact_check(case, monkeypatch, caplog):
+    # one projected coordinate: almost every pair of keys collides
+    if case == "fano":
+        design = DESIGNS[0]
+        emb = symmetric_strong_embedding(design)
+    else:
+        ds = validate_difference_set(13, [0, 1, 3, 9])
+        design = develop(ds)
+        emb = cyclic_embedding(ds, 3, poly=[1, 2, 0, 1])
+    expected = reference_verify_strong(design, emb).to_dict()
+    monkeypatch.setattr(additivity, "_key_coordinates", lambda m, t: 1)
+    with caplog.at_level(logging.DEBUG, logger="addesigns"):
+        report = verify_strong(design, emb)
+    assert report.to_dict() == expected
+    stats = _strong_log(caplog)
+    assert stats["false_positives"] > 0
+    assert stats["zero_sum"] == expected["zero_sum_subsets"]
+
+
+def test_verify_strong_logs_one_debug_line(caplog):
+    design = geometry.pg_design(3, 3, 1)
+    with caplog.at_level(logging.DEBUG, logger="addesigns"):
+        report = verify_strong(design, pg_strong_embedding(3, 3, 1))
+    msg = [r.getMessage() for r in caplog.records]
+    assert len(msg) == 1 and msg[0].startswith("verify_strong v=40 k=4 split=2 estimate=1406 ")
+    stats = _strong_log(caplog)
+    assert stats["kept"] == stats["streamed"] == math.comb(38, 2)
+    assert stats["false_positives"] == 0  # 3^40 > 2^64, but no projected key collides
+    assert stats["equal_key_pairs"] >= stats["zero_sum"] == report.zero_sum_subsets == 130
+    assert stats["seconds"] >= 0
+
+
+def test_verify_strong_writes_nothing_without_a_handler(capsys):
+    design = geometry.pg_design(2, 2, 1)
+    verify_strong(design, symmetric_strong_embedding(design))
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cap_bounds_the_estimated_work():
+    design = geometry.pg_design(2, 2, 1)
+    emb = symmetric_strong_embedding(design)
+    work, a = _strong_split(7, 3, 2, 7)
+    assert (work, a) == (5 + 15, 1)  # C(5,1) kept, C(6,2) streamed, 75 / 2^7 pairs
+    assert verify_strong(design, emb, cap=work).strong == "pass"
+    assert verify_strong(design, emb, cap=work - 1).strong == "skipped"
+
+
+def test_split_keeps_at_most_strong_keep_subsets(monkeypatch):
+    # with room for one kept subset only the split a = 0 remains
+    design = develop(validate_difference_set(13, [0, 1, 3, 9]))
+    emb = symmetric_strong_embedding(design)
+    monkeypatch.setattr(additivity, "_STRONG_KEEP", 1)
+    assert _strong_split(13, 4, emb.group.m, emb.group.t)[1] == 0
+    assert verify_strong(design, emb).to_dict() == reference_verify_strong(design, emb).to_dict()
+
+
+def test_work_beyond_64_bits_is_too_large():
+    design = Design(200, [list(range(100))])
+    emb = Embedding(AbelianGroup(2, 1), [(i % 2,) for i in range(200)], "random")
+    with pytest.raises(TooLarge):
+        verify_strong(design, emb, cap=10 ** 80)
