@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from . import gf
+from . import chunks, gf
 from .designs import difference_counts, document_field, document_rows, validate_2design
 from .errors import (
     BadPrime,
@@ -26,8 +26,6 @@ from .errors import (
 from .geometry import bracket, subspace_blocks
 
 DEFAULT_STRONG_CAP = 10 ** 8  # estimated work (_strong_split): about a minute
-_STRONG_CHUNK = 10 ** 5  # elements (rows x t) one numpy call of the verifiers touches;
-#                         a chunk of the strong check's subsets takes about as many bytes
 _STRONG_KEEP = 1 << 21  # subsets the kept half of the strong check may hold
 
 _logger = logging.getLogger("addesigns")
@@ -311,10 +309,10 @@ def _nonzero_block_sums(image, blocks, m):
 
     image is a (v, t) array of residues in _residue_dtype(m) and blocks a
     (b, k) array of point indices; the sums are accumulated one block
-    column at a time over chunks of about _STRONG_CHUNK elements.
+    column at a time over chunks of blocks sized by their t residues.
     """
     t = image.shape[1]
-    step = max(1, _STRONG_CHUNK // t)
+    step = chunks.rows_per_chunk(t * image.itemsize)
     for lo in range(0, len(blocks), step):
         chunk = blocks[lo:lo + step]
         total = np.zeros((len(chunk), t), image.dtype)
@@ -401,9 +399,9 @@ def _zero_sum_sets(image, m, k, a, stats):
     v, t = image.shape
     s = _key_coordinates(m, t)
     proj = _project(image, m, s)
-    # a chunk of subsets or of pairs takes about _STRONG_CHUNK bytes: s
-    # residues and about k + 8 int64 indices and counters each
-    step = max(1, _STRONG_CHUNK // (s * image.itemsize + 8 * (k + 8)))
+    # a subset or a pair takes s residues and about k + 8 int64 indices
+    # and counters
+    step = chunks.rows_per_chunk(s * image.itemsize + 8 * (k + 8))
     weights = np.array([m ** i for i in range(s)], dtype=np.uint64)
 
     def pack(sums):  # the residues (y_0, ..., y_(s-1)) as the sum of y_i m^i
@@ -482,8 +480,6 @@ def verify_strong(design, emb, cap=DEFAULT_STRONG_CAP):
     work, a = _strong_split(design.v, k, m, _key_coordinates(m, emb.group.t))
     if work > cap:
         return base
-    if k * m > np.iinfo(np.int64).max:
-        raise TooLarge("modulus %d is too large for the strong check" % m)
     if work > np.iinfo(np.int64).max:
         raise TooLarge("estimated work %d of the strong check exceeds 2^63" % work)
     start = time.perf_counter()

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from . import gf
+from . import chunks, gf
 from .errors import (
     BadModulus,
     EmptyDesign,
@@ -118,28 +118,27 @@ class Design:
         return "Design(%s)" % tag
 
 
-# Pair counts that validate_2design holds at once.
-_PAIR_BUDGET = 1 << 18
-
-
 def _pair_counts(blocks, replication):
     """Yield, over consecutive ranges of points x, the number of blocks
     through both x and y for every point y > x, as one flat array per range.
 
     The blocks through each point are found by a stable sort of the
-    incidences; each range of points is sized so that its counts and the
-    blocks gathered for it hold at most about _PAIR_BUDGET entries.
+    incidences.  A point of a range takes about 16 bytes for each of its v
+    pair counts (the int64 count, its mask and its selection) and for each
+    of its r k incidences (the int64 point gathered and its int32 code,
+    which bincount widens), and the ranges are sized by that.
     """
     k = blocks.shape[1]
     v = len(replication)
     by_point = np.argsort(blocks.ravel(), kind="stable") // k
     ends = np.cumsum(replication)
-    step = max(1, _PAIR_BUDGET // max(v, int(replication.max()) * k))
+    step = chunks.rows_per_chunk(16 * (v + int(replication.max()) * k))
     for x0 in range(0, v, step):
         x1 = min(v, x0 + step)
         lo, hi = ends[x0] - replication[x0], ends[x1 - 1]
-        owner = np.repeat(np.arange(x1 - x0), replication[x0:x1])
-        codes = owner[:, None] * v + blocks[by_point[lo:hi]]
+        codes = blocks[by_point[lo:hi]].astype(np.int32)
+        owner = np.repeat(np.arange(0, (x1 - x0) * v, v, dtype=np.int32), replication[x0:x1])
+        codes += owner[:, None]
         counts = np.bincount(codes.ravel(), minlength=(x1 - x0) * v).reshape(x1 - x0, v)
         yield counts[np.arange(v) > np.arange(x0, x1)[:, None]]
 
@@ -201,11 +200,22 @@ class DifferenceSet:
 
 
 def difference_counts(v, elems):
-    """counts[r]: the ordered pairs (a, b) of elems with a - b = r mod v."""
-    arr = np.array(elems, dtype=np.int64)
-    counts = np.zeros(v, dtype=np.int64)
-    for d in elems:
-        counts += np.bincount((d - arr) % v, minlength=v)
+    """counts[r]: the ordered pairs (a, b) of elems with a - b = r mod v.
+
+    One Kronecker-substitution product: the multiplicities of elems mod v
+    and their reverse, packed as integers with one slot per residue,
+    multiply to the polynomial whose coefficient v - 1 + d counts the
+    pairs with a - b = d, -v < d < v.  No coefficient exceeds the central
+    one, the sum of the squared multiplicities, which sizes the slots.
+    """
+    mult = np.bincount(np.asarray(elems, dtype=np.int64) % v, minlength=v)
+    slot = np.min_scalar_type(int(mult @ mult)).newbyteorder("<")
+    packed = mult.astype(slot)
+    prod = int.from_bytes(packed.tobytes(), "little")
+    prod *= int.from_bytes(packed[::-1].tobytes(), "little")
+    coeffs = np.frombuffer(prod.to_bytes(2 * v * slot.itemsize, "little"), slot).astype(np.int64)
+    counts = coeffs[v - 1:-1]
+    counts[1:] += coeffs[:v - 1]  # the negative differences d - v
     return counts
 
 

@@ -11,16 +11,14 @@ the field they compute in and in how they label points.
 """
 
 import itertools
+import os
 from functools import lru_cache
 
 import numpy as np
 
-from . import gf
+from . import chunks, gf
 from .designs import Design, validate_2design
-from .errors import DimensionOutOfRange, InvariantViolated
-
-# Vector coordinates the subspace enumerator computes per numpy call.
-_SPAN_BUDGET = 1 << 18
+from .errors import DimensionOutOfRange, InvariantViolated, TooLarge
 
 
 def bracket(n, q):
@@ -41,6 +39,15 @@ def gaussian(n, k, q):
     if num % den != 0:
         raise InvariantViolated("Gaussian binomial [%d %d]_%d is not an integer" % (n, k, q))
     return num // den
+
+
+def _refuse_beyond_memory(b, row_bytes, what):
+    """Raise TooLarge, before anything is allocated, if b blocks of
+    row_bytes bytes each would not fit in the machine's physical memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if b * row_bytes > memory:
+        raise TooLarge("%s has %d blocks, %d bytes each, beyond the %d bytes of memory"
+                       % (what, b, row_bytes, memory))
 
 
 @lru_cache(maxsize=None)
@@ -102,13 +109,14 @@ def _span_points(add, mul, bases, coeffs, point_of):
     """Row i holds point_of[code of c . bases[i]] for every row c of
     coeffs, sorted.  Arithmetic goes through the q x q label tables add
     and mul; the code of a vector x is sum x_j q^(cols-1-j).  Bases are
-    taken in chunks, so no temporary holds much more than _SPAN_BUDGET
-    coordinates."""
+    taken in chunks; for each row of coeffs a basis takes three vectors of
+    cols labels, two codes and a point."""
     b, rows, cols = bases.shape
     q = len(add)
     code_type = np.min_scalar_type(q ** cols - 1)
     out = np.empty((b, len(coeffs)), dtype=point_of.dtype)
-    step = max(1, _SPAN_BUDGET // (len(coeffs) * cols))
+    step = chunks.rows_per_chunk(
+        len(coeffs) * (3 * cols * add.itemsize + 2 * code_type.itemsize + point_of.itemsize))
     for lo in range(0, b, step):
         chunk = bases[lo:lo + step, None]  # (s, 1, rows, cols)
         vec = mul[coeffs[:, :1], chunk[:, :, 0]]  # (s, len(coeffs), cols)
@@ -127,12 +135,16 @@ def enumerate_subspaces(n, q, d):
     array of labels in lexicographic order."""
     if not 0 <= d <= n:
         raise DimensionOutOfRange("need 0 <= d <= n")
+    b = gaussian(n + 1, d + 1, q)
+    # a subspace takes its basis of labels and, as a block, int64 points
+    _refuse_beyond_memory(b, (d + 1) * (n + 1) + 8 * bracket(d + 1, q),
+                          "PG_%d(%d,%d)" % (d, n, q))
     bases = np.concatenate([mats for _, mats in _rref_bases(d + 1, n + 1, q)])
     bases = bases[np.lexsort(bases.reshape(len(bases), -1).T[::-1])]
-    if len(bases) != gaussian(n + 1, d + 1, q):
+    if len(bases) != b:
         raise InvariantViolated(
             "PG(%d,%d) gave %d subspaces of dimension %d, expected %d"
-            % (n, q, len(bases), d, gaussian(n + 1, d + 1, q))
+            % (n, q, len(bases), d, b)
         )
     return bases
 
@@ -146,6 +158,7 @@ def subspace_blocks(n, q, d, tables=None, labels=None):
     the i-th point in pg_points order is written as labels[i] (i by
     default).
     """
+    bases = enumerate_subspaces(n, q, d)
     if tables is None:
         tables = _tables(_field(q), range(q))
     v = bracket(n + 1, q)
@@ -154,15 +167,16 @@ def subspace_blocks(n, q, d, tables=None, labels=None):
     # An RREF basis times a normalized coefficient vector is normalized:
     # its first nonzero coordinate sits at the first used pivot.
     coeffs = gf.digits(_point_codes(d + 1, q), d + 1, q)
-    return _span_points(*tables, enumerate_subspaces(n, q, d), coeffs, point_of)
+    return _span_points(*tables, bases, coeffs, point_of)
 
 
 def pg_design(n, q, d):
     """The 2-design of points and d-subspaces of PG(n,q)."""
     if not 1 <= d <= n - 1:
         raise DimensionOutOfRange("need 1 <= d <= n-1")
+    blocks = subspace_blocks(n, q, d)
     labels = _labels(pg_points(n, q))
-    design = validate_2design(Design(len(labels), subspace_blocks(n, q, d), labels))
+    design = validate_2design(Design(len(labels), blocks, labels))
     if design.lam != gaussian(n - 1, d - 1, q):
         raise InvariantViolated(
             "PG_%d(%d,%d) has lambda %d, expected %d"
@@ -190,6 +204,9 @@ def ag_design(n, q, d):
     """
     if not 1 <= d <= n - 1:
         raise DimensionOutOfRange("need 1 <= d <= n-1")
+    # a coset takes its basis of labels and, as a block, int64 points
+    _refuse_beyond_memory(q ** (n - d) * gaussian(n, d, q), (d + 1) * (n + 1) + 8 * q ** d,
+                          "AG_%d(%d,%d)" % (d, n, q))
     labels = _labels(ag_points(n, q))
     tables = _tables(_field(q), range(q))
     affine = gf.digits(np.arange(q ** d, 2 * q ** d), d + 1, q)  # coefficients (1, c)

@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from . import chunks
 from .errors import (
     DivisionByZero,
     FieldMismatch,
@@ -29,9 +30,6 @@ from .errors import (
 
 # Table-backed construction is refused beyond this order.
 MAX_FIELD_ORDER = 2 ** 20
-
-# Rows of the exp table computed per matrix product, to bound temporaries.
-_TABLE_CHUNK = 1 << 16
 
 _logger = logging.getLogger("addesigns")
 
@@ -132,6 +130,7 @@ class FieldSpec:
 
         The powers [f, 2f) are the digit rows of the powers [0, f) times
         the matrix of multiplication by r^f, which is squared each round.
+        A row of a product holds n int64 digits at most three times over.
         """
         p, n, q = self.p, self.n, self.q
         weights = p ** np.arange(n, dtype=np.int64)
@@ -139,10 +138,11 @@ class FieldSpec:
         xmat[n - 1] = [-c % p for c in reversed(self.prim_poly[1:])]
         exp = np.empty(q - 1, dtype=np.int64)
         exp[0] = 1
+        rows = chunks.rows_per_chunk(24 * n)
         step, f = xmat, 1
         while f < q - 1:
-            for lo in range(0, min(f, q - 1 - f), _TABLE_CHUNK):
-                hi = min(f, q - 1 - f, lo + _TABLE_CHUNK)
+            for lo in range(0, min(f, q - 1 - f), rows):
+                hi = min(f, q - 1 - f, lo + rows)
                 digits = exp[lo:hi, None] // weights % p
                 exp[f + lo:f + hi] = digits @ step % p @ weights
             step, f = step @ step % p, 2 * f

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addesigns import additivity, geometry, gf
+from addesigns import additivity, chunks, geometry, gf
 from addesigns.additivity import (
     AbelianGroup,
     Embedding,
@@ -418,14 +418,14 @@ def _additive_cases():
 
 
 ADDITIVE = _additive_cases()
-CHUNKS = [1, 7, additivity._STRONG_CHUNK]
+CHUNKS = [1, 7, chunks.BUDGET]
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("case", range(len(ADDITIVE)), ids=["fano", "plane3", "pg132"])
 def test_additive_embeddings_match_reference(case, chunk):
     design, emb = ADDITIVE[case]
-    with mock.patch.object(additivity, "_STRONG_CHUNK", chunk):
+    with mock.patch.object(chunks, "BUDGET", chunk):
         report = verify_embedding(design, emb)
     assert report.additive and report.injective
     assert report.to_dict() == reference_verify_embedding(design, emb).to_dict()
@@ -442,7 +442,7 @@ def test_one_changed_coordinate_fails_exactly_the_blocks_through_it(chunk, data)
     image = emb.image.tolist()
     image[x][j] = (image[x][j] + data.draw(st.integers(1, m - 1))) % m
     changed = Embedding(emb.group, image, emb.kind)
-    with mock.patch.object(additivity, "_STRONG_CHUNK", chunk):
+    with mock.patch.object(chunks, "BUDGET", chunk):
         report = verify_embedding(design, changed)
     assert report.to_dict() == reference_verify_embedding(design, changed).to_dict()
     through = [i for i, blk in enumerate(rows(design.blocks)) if x in blk]

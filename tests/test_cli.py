@@ -204,19 +204,30 @@ def test_verify_wrong_claimed_lambda_exits_1(tmp_path, capsys):
     assert "NotTwoDesign" in capsys.readouterr().err
 
 
-def test_verify_strong_huge_modulus_exits_2(tmp_path, capsys):
-    design = tmp_path / "fano.json"
-    emb = tmp_path / "emb.json"
-    main(["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--out", str(design)])
-    m = 2 ** 62
-    emb.write_text(json.dumps({
-        "group": {"m": m, "t": 1}, "kind": "test", "meta": {},
-        "image": [[i] for i in range(7)],
-    }))
-    capsys.readouterr()
-    assert main(["verify", str(design), str(emb), "--strong"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+def test_verify_strong_modulus_2_62_runs_the_check(tmp_path, capsys):
+    # the Fano plane's strong embedding in Z_2^7, scaled by 2^61 into
+    # Z_(2^62)^7, keeps every zero sum
+    design, emb = _fano_documents(tmp_path)
+    doc = read(emb)
+    doc["group"]["m"] = 2 ** 62
+    doc["image"] = [[x * 2 ** 61 for x in row] for row in doc["image"]]
+    emb.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    rc, err = _exit_and_error(capsys, ["verify", str(design), str(emb), "--strong",
+                                       "--out", str(report)])
+    assert (rc, err) == (0, "")
+    assert read(report)["strong"] == "pass" and read(report)["zero_sum_subsets"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "pg", "--n", "12", "--q", "2", "--d", "6"],
+    ["gen", "pg", "--n", "12", "--q", "2", "--d", "6", "--points", "cyclic"],
+    ["gen", "ag", "--n", "12", "--q", "2", "--d", "6"],
+], ids=["pg", "pg-cyclic", "ag"])
+def test_oversized_subspace_design_exits_2(capsys, argv):
+    # about 10^13 blocks: refused before any allocation
+    rc, err = _exit_and_error(capsys, argv)
+    assert rc == 2 and err.startswith("error: ") and "bytes of memory" in err
 
 
 def test_info(tmp_path, capsys):

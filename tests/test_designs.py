@@ -1,11 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addesigns import designs, geometry, gf
+from addesigns import chunks, designs, geometry, gf
 from addesigns.designs import (
     Design,
     develop,
@@ -78,6 +79,36 @@ def test_difference_set_rejects_nonuniform():
     with pytest.raises(NotDifferenceSet) as exc:
         validate_difference_set(7, [0, 1, 2])
     assert "residue 1" in str(exc.value)
+
+
+def reference_difference_counts(v, elems):
+    """The O(k v) loop: one bincount of d - elems per element d."""
+    arr = np.array(elems, dtype=np.int64)
+    counts = np.zeros(v, dtype=np.int64)
+    for d in elems:
+        counts += np.bincount((d - arr) % v, minlength=v)
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 300).flatmap(
+    lambda v: st.tuples(st.just(v), st.lists(st.integers(-2 * v, 2 * v), max_size=3 * v))))
+def test_difference_counts_match_the_loop_on_multisets(case):
+    v, elems = case
+    got = designs.difference_counts(v, elems)
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_difference_counts(v, elems).tolist()
+
+
+@pytest.mark.parametrize("v,elems", [
+    (7, [1, 2, 4]),
+    (13, [0, 1, 3, 9]),
+    (1057, list(singer_diffset(2, 32).elems)),
+    (10007, list(paley_diffset(10007).elems)),
+], ids=["paley7", "plane3", "singer32", "paley10007"])
+def test_difference_counts_match_the_loop(v, elems):
+    expected = reference_difference_counts(v, elems)
+    assert designs.difference_counts(v, elems).tolist() == expected.tolist()
 
 
 def test_develop_singer_13():
@@ -259,17 +290,15 @@ def incidence_structures(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(incidence_structures(), st.sampled_from([1, 5, 1 << 18]))
+@given(incidence_structures(), st.sampled_from([1, 500, 1 << 18]))
 def test_validate_2design_matches_dict_reference(design, budget):
-    old = designs._PAIR_BUDGET
-    designs._PAIR_BUDGET = budget
-    try:
+    with mock.patch.object(chunks, "BUDGET", budget):
         assert _outcome(validate_2design, design) == _outcome(reference_validate_2design, design)
-    finally:
-        designs._PAIR_BUDGET = old
 
 
-@pytest.mark.parametrize("budget", [1, 40, 1 << 18])
+# a point of the Fano plane takes 256 bytes of pair counts and incidences,
+# so the budgets cover ranges of one, one, two and all points
+@pytest.mark.parametrize("budget", [1, 40, 600, 1 << 18])
 @pytest.mark.parametrize(
     "design",
     [
@@ -283,7 +312,7 @@ def test_validate_2design_matches_dict_reference(design, budget):
     ids=["fano", "missing", "uneven", "doubled", "k1", "k0"],
 )
 def test_validate_2design_messages_match_reference(design, budget, monkeypatch):
-    monkeypatch.setattr(designs, "_PAIR_BUDGET", budget)
+    monkeypatch.setattr(chunks, "BUDGET", budget)
     assert _outcome(validate_2design, design) == _outcome(reference_validate_2design, design)
 
 
@@ -291,7 +320,7 @@ def test_validate_2design_messages_match_reference(design, budget, monkeypatch):
 def test_validate_2design_matches_reference_on_pg_designs(n, q, d, monkeypatch):
     design = geometry.pg_design(n, q, d)
     raw = Design(design.v, design.blocks)
-    monkeypatch.setattr(designs, "_PAIR_BUDGET", 50)
+    monkeypatch.setattr(chunks, "BUDGET", 3000)  # ranges of two to six points
     assert _outcome(validate_2design, raw) == _outcome(reference_validate_2design, raw)
 
 

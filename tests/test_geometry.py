@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from addesigns import geometry, gf
-from addesigns.errors import DimensionOutOfRange, InvariantViolated
+from addesigns import chunks, geometry, gf
+from addesigns.errors import DimensionOutOfRange, InvariantViolated, TooLarge
 
 
 def rows(design):
@@ -364,9 +364,23 @@ def test_ag_design_matches_reference(n, q, d):
     assert rows(geometry.ag_design(n, q, d)) == reference_ag_blocks(n, q, d)
 
 
-@pytest.mark.parametrize("budget", [1, 7])
+# a basis of a line of PG(3,3) takes 60 bytes, so 300 covers five
+@pytest.mark.parametrize("budget", [1, 7, 300])
 def test_small_span_budget_gives_the_same_blocks(monkeypatch, budget):
-    monkeypatch.setattr(geometry, "_SPAN_BUDGET", budget)
+    monkeypatch.setattr(chunks, "BUDGET", budget)
     assert rows(geometry.pg_design(3, 3, 1)) == reference_pg_blocks(3, 3, 1)
     assert rows(geometry.pg_design_cyclic(2, 4, 1)) == reference_cyclic_blocks(2, 4, 1)
     assert rows(geometry.ag_design(3, 3, 1)) == reference_ag_blocks(3, 3, 1)
+
+
+def test_subspace_designs_beyond_memory_are_refused(monkeypatch):
+    # 4096 bytes of memory: the 7 Fano lines take 30 bytes each, the 130
+    # lines of PG(3,3) 40, the 12 lines of AG(2,3) 30 and the 1080 of
+    # AG(4,3) 34
+    monkeypatch.setattr(geometry.os, "sysconf", lambda name: 64)
+    assert rows(geometry.pg_design(2, 2, 1)) == reference_pg_blocks(2, 2, 1)
+    assert len(geometry.ag_design(2, 3, 1).blocks) == 12
+    with pytest.raises(TooLarge, match="PG_1\\(3,3\\) has 130 blocks, 40 bytes each"):
+        geometry.pg_design(3, 3, 1)
+    with pytest.raises(TooLarge, match="AG_1\\(4,3\\) has 1080 blocks, 34 bytes each"):
+        geometry.ag_design(4, 3, 1)

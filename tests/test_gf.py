@@ -5,7 +5,7 @@ from sympy import factorint
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 
-from addesigns import gf
+from addesigns import chunks, gf
 from addesigns.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -379,3 +379,13 @@ def test_make_field_logs_one_debug_line(caplog):
 def test_make_field_writes_nothing_without_a_handler(capsys):
     gf.make_field(3, 5)
     assert capsys.readouterr() == ("", "")
+
+
+# a row of the exp table of GF(2^8) takes 192 bytes, so 1000 covers five
+@pytest.mark.parametrize("budget", [1, 1000])
+def test_small_budget_gives_the_same_tables(monkeypatch, budget):
+    fields = [gf.make_field(p, n) for p, n in [(2, 8), (3, 5), (5, 3), (7, 2)]]
+    monkeypatch.setattr(chunks, "BUDGET", budget)
+    for f in fields:
+        g = gf.FieldSpec(f.p, f.n, f.prim_poly)
+        assert (g._exp, g._log, g._zech) == (f._exp, f._log, f._zech)

@@ -1,0 +1,44 @@
+"""Peak memory of the chunked kernels, measured with tracemalloc."""
+
+import tracemalloc
+
+import numpy as np
+
+from addesigns import chunks, gf
+from addesigns.designs import Design, singer_diffset, validate_2design
+
+MiB = 2 ** 20
+
+
+def peak_bytes(f):
+    """The most bytes f() holds at once above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_rows_per_chunk_reads_the_budget_at_call_time(monkeypatch):
+    assert chunks.rows_per_chunk(1000) == chunks.BUDGET // 1000
+    assert chunks.rows_per_chunk(10 * chunks.BUDGET) == 1
+    monkeypatch.setattr(chunks, "BUDGET", 5000)
+    assert chunks.rows_per_chunk(1000) == 5
+
+
+def test_validate_2design_singer32_peaks_below_3_mib():
+    # 10.1 MiB with pair counts sized at 2^18 entries per range
+    ds = singer_diffset(2, 32)
+    design = Design(ds.v, (np.array(ds.elems) + np.arange(ds.v)[:, None]) % ds.v)
+    assert peak_bytes(lambda: validate_2design(design)) < 3 * MiB
+    assert design.lam == 1
+
+
+def test_gf_2_15_table_build_peaks_below_4_mib():
+    # 5.9 MiB with the exp table computed in ranges of 2^16 rows; the
+    # exp and log lists the field keeps are about 2.5 MiB of it
+    poly = gf.make_field(2, 15).prim_poly
+    assert peak_bytes(lambda: gf.FieldSpec(2, 15, poly)) < 4 * MiB

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addesigns import additivity, geometry
+from addesigns import additivity, chunks, geometry
 from addesigns.additivity import (
     AbelianGroup,
     Embedding,
@@ -74,8 +74,8 @@ def reference_zero_sum_subsets(image, m, k):
     carried down, and the completing points x are looked up in the image
     rows sorted as byte strings, which keeps every point of a repeated
     row.  The leading points of S are chosen in Python; its last (up to)
-    two come from a lexicographic table handled _STRONG_CHUNK elements at
-    a time in numpy.
+    two come from a lexicographic table handled 10^5 elements at a time
+    in numpy.
     """
     v, t = image.shape
     if k == 0:
@@ -95,7 +95,7 @@ def reference_zero_sum_subsets(image, m, k):
     last = tail[:, -1] if width else np.full(1, -1)
     starts = np.searchsorted(tail[:, 0], np.arange(v), "right") if width else None
     lead = k - 1 - width
-    step = max(1, additivity._STRONG_CHUNK // t)
+    step = max(1, 10 ** 5 // t)
 
     def complete(prefix, partial, first):
         for c in range(first, len(tail), step):
@@ -187,7 +187,7 @@ def test_verify_strong_chunking_matches_brute_force(chunk, monkeypatch):
     design = develop(ds)
     emb = cyclic_embedding(ds, 3, poly=[1, 2, 0, 1])
     folded = Embedding(AbelianGroup(3, 1), [(sum(row),) for row in emb.image.tolist()], "folded")
-    monkeypatch.setattr(additivity, "_STRONG_CHUNK", chunk)
+    monkeypatch.setattr(chunks, "BUDGET", chunk)
     for e in (emb, folded):
         expected = reference_verify_strong(design, e)
         assert verify_strong(design, e).to_dict() == expected.to_dict()
@@ -213,11 +213,19 @@ def test_verify_strong_unvalidated_design_matches_brute_force(blocks):
     assert verify_strong(design, emb).to_dict() == expected.to_dict()
 
 
-def test_verify_strong_modulus_overflow_raises_too_large():
+@pytest.mark.parametrize("t", [1, 2], ids=["packed", "projected"])
+def test_verify_strong_modulus_2_62_matches_brute_force(t):
+    # residues near m = 2^62: the kernel reduces after every addition, so
+    # k m > 2^63 needs no refusal; with t = 2 the keys are one projected
+    # coordinate, computed over Python integers
+    m = 2 ** 62
+    values = [1, 2, 3, m - 3, m - 4, m - 5, m - 1]
+    image = [(x,) + (m - x,) * (t - 1) for x in values]
     design = geometry.pg_design(2, 2, 1)
-    emb = Embedding(AbelianGroup(2 ** 62, 1), [(i,) for i in range(7)], "random")
-    with pytest.raises(TooLarge):
-        verify_strong(design, emb)
+    emb = Embedding(AbelianGroup(m, t), image, "random")
+    expected = reference_verify_strong(design, emb)
+    assert expected.zero_sum_subsets == 3  # {1, 2, -3}, {1, 3, -4}, {2, 3, -5}
+    assert verify_strong(design, emb).to_dict() == expected.to_dict()
 
 
 def test_verify_strong_pg251_symmetric_golden():
