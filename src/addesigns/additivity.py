@@ -193,7 +193,7 @@ def cyclic_embedding(ds, p, poly=None):
     i = 1 is chosen.
     """
     k, lam, v = ds.k, ds.lam, ds.v
-    if not gf.is_prime(p) or (k - lam) % p != 0:
+    if p < 2 or (k - lam) % p != 0 or not gf.is_prime(p):
         raise BadPrime("%d is not a prime divisor of k - lambda = %d" % (p, k - lam))
     if v % p == 0:
         raise BadPrime("%d divides v = %d" % (p, v))
@@ -242,6 +242,7 @@ def subspace_embedding(m, q, design, poly=None):
     The design's points must be the exponent classes of GF(q^m)*/F_q*
     in order, i.e. point i represents the class of omega^i.
     """
+    gf.refuse_beyond_cap(q, m)
     p, alpha = gf.prime_power(q)
     field = gf.make_field(p, alpha * m, poly)
     v = bracket(m, q)
@@ -298,7 +299,10 @@ def _reduce(s, m):
 
 
 def _row_keys(rows):
-    """Each row of a 2-D array as one byte string, for sorting and lookup."""
+    """Each row of a 2-D array as one byte string, for sorting and lookup;
+    rows of no columns, which numpy cannot view so, as one zero byte."""
+    if not rows.shape[1]:
+        return np.zeros(len(rows), "V1")
     key = np.dtype((np.void, rows.shape[1] * rows.itemsize))
     return np.ascontiguousarray(rows).view(key).ravel()
 
@@ -483,14 +487,17 @@ def verify_strong(design, emb, cap=DEFAULT_STRONG_CAP):
     if work > np.iinfo(np.int64).max:
         raise TooLarge("estimated work %d of the strong check exceeds 2^63" % work)
     start = time.perf_counter()
-    blocks = set(map(tuple, design.blocks.tolist()))
+    blocks = np.sort(_row_keys(design.blocks))  # np.unique and np.isin import numpy.ma
+    distinct = len(blocks) - np.count_nonzero(blocks[1:] == blocks[:-1])
     found = 0
     stray = False
     stats = {}
     for sets in _zero_sum_sets(emb.image, m, k, a, stats):
         found += len(sets)
-        stray = stray or not blocks.issuperset(map(tuple, sets.tolist()))
-    base.strong = "pass" if not stray and found == len(blocks) else "fail"
+        keys = _row_keys(sets.astype(np.int64))
+        at = blocks.searchsorted(keys)
+        stray = stray or (at == len(blocks)).any() or (blocks[at] != keys).any()
+    base.strong = "pass" if not stray and found == distinct else "fail"
     base.zero_sum_subsets = found
     _logger.debug(
         "verify_strong v=%d k=%d split=%d estimate=%d kept=%d streamed=%d "

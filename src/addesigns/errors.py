@@ -35,7 +35,11 @@ class NotCoprime(AddesignsError):
     pass
 
 
-class FieldTooLarge(AddesignsError):
+class TooLarge(AddesignsError):
+    """An input beyond what the machine or a table cap allows: exit status 2."""
+
+
+class FieldTooLarge(TooLarge):
     pass
 
 
@@ -98,8 +102,4 @@ class SizeMismatch(AddesignsError):
 
 
 class NotSubspaceBlocks(AddesignsError):
-    pass
-
-
-class TooLarge(AddesignsError):
     pass

@@ -11,14 +11,13 @@ the field they compute in and in how they label points.
 """
 
 import itertools
-import os
 from functools import lru_cache
 
 import numpy as np
 
 from . import chunks, gf
 from .designs import Design, validate_2design
-from .errors import DimensionOutOfRange, InvariantViolated, TooLarge
+from .errors import DimensionOutOfRange, InvariantViolated
 
 
 def bracket(n, q):
@@ -41,15 +40,6 @@ def gaussian(n, k, q):
     return num // den
 
 
-def _refuse_beyond_memory(b, row_bytes, what):
-    """Raise TooLarge, before anything is allocated, if b blocks of
-    row_bytes bytes each would not fit in the machine's physical memory."""
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if b * row_bytes > memory:
-        raise TooLarge("%s has %d blocks, %d bytes each, beyond the %d bytes of memory"
-                       % (what, b, row_bytes, memory))
-
-
 @lru_cache(maxsize=None)
 def _field(q):
     p, alpha = gf.prime_power(q)
@@ -59,11 +49,12 @@ def _field(q):
 def _tables(field, elem):
     """Addition and multiplication tables, on labels, of the subfield of
     `field` whose element with label i has the code elem[i]."""
-    label = {c: i for i, c in enumerate(elem)}
-    dtype = np.min_scalar_type(len(label) - 1)
-    add = np.array([[label[field.add_code(a, b)] for b in elem] for a in elem], dtype)
-    mul = np.array([[label[field.mul_code(a, b)] for b in elem] for a in elem], dtype)
-    return add, mul
+    elem = np.asarray(elem)
+    a, b = np.broadcast_arrays(elem[:, None], elem)
+    add = field.sum_codes(np.stack((a, b), axis=-1))
+    mul = np.where(a * b == 0, 0, field._exp[(field._log[a] + field._log[b]) % (field.q - 1)])
+    label = np.argsort(elem).astype(np.min_scalar_type(len(elem) - 1))  # by ascending code
+    return label[elem[label].searchsorted(add)], label[elem[label].searchsorted(mul)]
 
 
 def _point_codes(length, q):
@@ -137,8 +128,8 @@ def enumerate_subspaces(n, q, d):
         raise DimensionOutOfRange("need 0 <= d <= n")
     b = gaussian(n + 1, d + 1, q)
     # a subspace takes its basis of labels and, as a block, int64 points
-    _refuse_beyond_memory(b, (d + 1) * (n + 1) + 8 * bracket(d + 1, q),
-                          "PG_%d(%d,%d)" % (d, n, q))
+    chunks.refuse_beyond_memory("PG_%d(%d,%d)" % (d, n, q), b, "blocks",
+                                (d + 1) * (n + 1) + 8 * bracket(d + 1, q))
     bases = np.concatenate([mats for _, mats in _rref_bases(d + 1, n + 1, q)])
     bases = bases[np.lexsort(bases.reshape(len(bases), -1).T[::-1])]
     if len(bases) != b:
@@ -205,8 +196,8 @@ def ag_design(n, q, d):
     if not 1 <= d <= n - 1:
         raise DimensionOutOfRange("need 1 <= d <= n-1")
     # a coset takes its basis of labels and, as a block, int64 points
-    _refuse_beyond_memory(q ** (n - d) * gaussian(n, d, q), (d + 1) * (n + 1) + 8 * q ** d,
-                          "AG_%d(%d,%d)" % (d, n, q))
+    chunks.refuse_beyond_memory("AG_%d(%d,%d)" % (d, n, q), q ** (n - d) * gaussian(n, d, q),
+                                "blocks", (d + 1) * (n + 1) + 8 * q ** d)
     labels = _labels(ag_points(n, q))
     tables = _tables(_field(q), range(q))
     affine = gf.digits(np.arange(q ** d, 2 * q ** d), d + 1, q)  # coefficients (1, c)
@@ -237,20 +228,17 @@ def pg_design_cyclic(n, q, d, poly=None):
     """
     if not 1 <= d <= n - 1:
         raise DimensionOutOfRange("need 1 <= d <= n-1")
+    gf.refuse_beyond_cap(q, n + 1)
     p, alpha = gf.prime_power(q)
     field = gf.make_field(p, alpha * (n + 1), poly)
     big = field.q - 1
     v = bracket(n + 1, q)
     if big != v * (q - 1):
         raise InvariantViolated("|GF(%d)*| = %d is not %d * %d" % (field.q, big, v, q - 1))
-    exp = np.array(field._exp)
-    elem = [0] + field._exp[::v]  # 1, omega^v, ..., omega^((q-2)v)
     terms = np.zeros((n + 1, q), dtype=np.int64)  # terms[j, x]: code of x omega^j
-    terms[:, 1:] = exp[(np.arange(q - 1) * v + np.arange(n + 1)[:, None]) % big]
+    terms[:, 1:] = field._exp[(np.arange(q - 1) * v + np.arange(n + 1)[:, None]) % big]
     pts = pg_points(n, q)
-    weights = p ** np.arange(field.n)
-    # the sum of the terms of each point, digit by digit over Z_p
-    digits = sum(terms[j, pts[:, j]][:, None] // weights % p for j in range(n + 1))
-    classes = np.array(field._log)[digits % p @ weights] % v
-    blocks = subspace_blocks(n, q, d, _tables(field, elem), classes)
+    classes = field._log[field.sum_codes(terms[np.arange(n + 1), pts])] % v
+    # terms[0] holds the subfield's codes: 0, 1, omega^v, ..., omega^((q-2)v)
+    blocks = subspace_blocks(n, q, d, _tables(field, terms[0]), classes)
     return validate_2design(Design(v, blocks[np.lexsort(blocks.T[::-1])]))

@@ -6,10 +6,12 @@ so r^0 in GF(27) prints as (0,0,1).  Internally an element is encoded as
 the integer sum(c_j * p^j) with c_j the coefficient of x^j.
 
 Primitivity is decided by the order test on x (Lidl & Niederreiter,
-Finite Fields, Thm 3.16 ff.), and addition is XOR of codes for p = 2 and
-goes through a Zech logarithm table for odd p.
+Finite Fields, Thm 3.16 ff.).  A field keeps two read-only int64 arrays,
+the exp and log tables; addition adds the base-p digits of the codes
+mod p, which is XOR for p = 2.
 """
 
+import itertools
 import logging
 import math
 import time
@@ -35,18 +37,7 @@ _logger = logging.getLogger("addesigns")
 
 
 def is_prime(m):
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    return m >= 2 and next(_prime_factors(m)) == m
 
 
 class FieldElement:
@@ -114,7 +105,8 @@ class FieldElement:
 class FieldSpec:
     """GF(p^n) defined by a primitive polynomial, with exp/log tables.
 
-    The tables are immutable after construction; all operations are pure.
+    The tables are read-only int64 arrays; all operations are pure, and
+    the scalar ones take and return Python ints.
     """
 
     def __init__(self, p, n, prim_poly):
@@ -125,8 +117,7 @@ class FieldSpec:
         self._build_tables()
 
     def _build_tables(self):
-        """Fill _exp (code of r^i), _log (its inverse; _log[0] is unused)
-        and, for odd p, _zech (1 + r^j = r^_zech[j], or -1 where 1 + r^j = 0).
+        """Fill _exp (code of r^i) and _log (its inverse; _log[0] is unused).
 
         The powers [f, 2f) are the digit rows of the powers [0, f) times
         the matrix of multiplication by r^f, which is squared each round.
@@ -159,23 +150,14 @@ class FieldSpec:
             raise NotPrimitivePolynomial(
                 "root powers of %s repeat before order %d" % (self.describe(), q - 1)
             )
-        self._exp = exp.tolist()
-        self._log = log.tolist()
-        self._zech = None
-        if p != 2:
-            # 1 + r^j only changes the constant digit of r^j
-            one_plus = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
-            self._zech = np.where(one_plus == 0, -1, log[one_plus]).tolist()
+        exp.flags.writeable = log.flags.writeable = False
+        self._exp, self._log = exp, log
 
     # -- element access -------------------------------------------------
 
     def coeffs_of_code(self, code):
         """Coefficient tuple of a code, highest degree first."""
-        out = []
-        for _ in range(self.n):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(reversed(out))
+        return tuple(map(int, digits([code], self.n, self.p)[0]))
 
     def code_of_coeffs(self, coeffs):
         """Code of a coefficient sequence given highest degree first."""
@@ -202,25 +184,33 @@ class FieldSpec:
 
     # -- code-level arithmetic ------------------------------------------
 
+    def sum_codes(self, codes):
+        """The codes of the sums along the last axis of an array of codes:
+        their base-p digits added mod p."""
+        codes = np.asarray(codes, dtype=np.int64)
+        if self.p == 2:
+            return np.bitwise_xor.reduce(codes, axis=-1)
+        total = np.zeros(codes.shape[:-1], dtype=np.int64)
+        for w in self.p ** np.arange(self.n, dtype=np.int64):
+            total += (codes // w % self.p).sum(axis=-1) % self.p * w
+        return total
+
+    def _digitwise(self, a, b, sign):
+        """The code whose base-p digits are a_j + sign * b_j mod p."""
+        p = self.p
+        total, w = 0, 1
+        while a or b:
+            total += (a + sign * b) % p * w  # a = a_j, b = b_j (mod p)
+            a //= p
+            b //= p
+            w *= p
+        return total
+
     def add_code(self, a, b):
-        if self._zech is None:
-            return a ^ b
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        # a + b = a * (1 + b/a) = r^(log a + Z(log b - log a))
-        la = self._log[a]
-        z = self._zech[(self._log[b] - la) % (self.q - 1)]
-        if z < 0:
-            return 0
-        return self._exp[(la + z) % (self.q - 1)]
+        return a ^ b if self.p == 2 else self._digitwise(a, b, 1)
 
     def neg_code(self, a):
-        if self._zech is None or a == 0:
-            return a
-        # -1 = r^((q-1)/2) for odd q
-        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
+        return a if self.p == 2 else self._digitwise(0, a, -1)
 
     def sub_code(self, a, b):
         return self.add_code(a, self.neg_code(b))
@@ -228,12 +218,12 @@ class FieldSpec:
     def mul_code(self, a, b):
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp.item((self._log.item(a) + self._log.item(b)) % (self.q - 1))
 
     def inv_code(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._exp.item(-self._log.item(a) % (self.q - 1))
 
     def div_code(self, a, b):
         if b == 0:
@@ -244,13 +234,13 @@ class FieldSpec:
 
     def exp(self, i):
         """r^i for the root r of prim_poly; i taken mod q-1."""
-        return FieldElement(self, self._exp[i % (self.q - 1)])
+        return FieldElement(self, self._exp.item(i % (self.q - 1)))
 
     def log(self, x):
         code = x.code if isinstance(x, FieldElement) else x
         if code == 0:
             raise LogOfZero("log of the zero element")
-        return self._log[code]
+        return self._log.item(code)
 
     def describe(self):
         return "GF(%d^%d; %s)" % (
@@ -265,29 +255,28 @@ class FieldSpec:
 
 def _poly_candidates(p, n):
     """Monic degree-n polynomials over Z_p, lexicographic low-degree-first."""
-    total = p ** n
-    for v in range(total):
-        low = []
-        x = v
-        for _ in range(n):
-            low.append(x % p)
-            x //= p
-        yield (1,) + tuple(reversed(low))
+    return ((1,) + low for low in itertools.product(range(p), repeat=n))
 
 
 def _prime_factors(m):
-    """The distinct prime factors of m >= 1, by trial division."""
-    out = []
+    """Yield the distinct prime factors of m >= 1, ascending, by trial
+    division; the first is found without factoring the rest of m."""
     f = 2
     while f * f <= m:
         if m % f == 0:
-            out.append(f)
+            yield f
             while m % f == 0:
                 m //= f
         f += 1 if f == 2 else 2
     if m > 1:
-        out.append(m)
-    return out
+        yield m
+
+
+def refuse_beyond_cap(q, m):
+    """Raise FieldTooLarge if the field of order q^m, q >= 2, is beyond
+    MAX_FIELD_ORDER; q^m is not computed when m alone decides it."""
+    if q >= 2 and (m >= MAX_FIELD_ORDER.bit_length() or q ** m > MAX_FIELD_ORDER):
+        raise FieldTooLarge("refusing table construction for q = %d^%d" % (q, m))
 
 
 def _mulmod(a, b, low, p):
@@ -355,14 +344,13 @@ def make_field(p, n, poly=None):
     the candidates tried and the search and table times at DEBUG level on
     the "addesigns" logger.
     """
-    if not is_prime(p):
-        raise NotPrime("%d is not prime" % p)
     if n < 1:
         raise NotPrimitivePolynomial("extension degree must be >= 1")
-    if p ** n > MAX_FIELD_ORDER:
-        raise FieldTooLarge("refusing table construction for q = %d" % p ** n)
+    refuse_beyond_cap(p, n)
+    if not is_prime(p):
+        raise NotPrime("%d is not prime" % p)
     start = time.perf_counter()
-    factors = _prime_factors(p ** n - 1)
+    factors = list(_prime_factors(p ** n - 1))
     if poly is not None:
         poly = tuple(c % p for c in poly)
         if len(poly) != n + 1 or poly[0] != 1:
@@ -390,12 +378,7 @@ def prime_power(q):
     """Decompose a prime power q as (p, alpha) with q = p^alpha."""
     if q < 2:
         raise NotPrime("%d is not a prime power" % q)
-    p = 2
-    while q % p != 0:
-        p += 1
-        if p * p > q:
-            p = q
-            break
+    p = next(_prime_factors(q))
     alpha = 0
     m = q
     while m % p == 0:
@@ -411,8 +394,12 @@ def digits(codes, length, base):
 
     For codes of GF(p^n) with base p and length n these are the
     coefficient vectors, highest degree first."""
-    weights = base ** np.arange(length - 1, -1, -1)
-    return (np.asarray(codes)[:, None] // weights % base).astype(np.min_scalar_type(base - 1))
+    rest = np.array(codes)  # reduced in place, one digit at a time
+    out = np.empty((len(rest), length), dtype=np.min_scalar_type(base - 1))
+    for j in range(length - 1, -1, -1):
+        out[:, j] = rest % base
+        rest //= base
+    return out
 
 
 def subgroup_generator(field, v):
@@ -443,12 +430,8 @@ def power_sum(field, i):
 
     Equals 0 for 0 <= i <= q-2 and -1 for i = q-1.
     """
-    total = 0
-    if i == 0:
-        # every element contributes 1, including zero
-        for _ in range(field.q):
-            total = field.add_code(total, 1)
+    if i == 0:  # every element contributes 1, including zero
+        terms = np.ones(field.q, dtype=np.int64)
     else:
-        for e in range(field.q - 1):
-            total = field.add_code(total, field._exp[(e * i) % (field.q - 1)])
-    return FieldElement(field, total)
+        terms = field._exp[np.arange(field.q - 1) * (i % (field.q - 1)) % (field.q - 1)]
+    return FieldElement(field, field.sum_codes(terms).item())

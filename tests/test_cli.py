@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from addesigns import additivity, designs, geometry
+from addesigns import additivity, chunks, designs, geometry
 from addesigns.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(tmp_path, *argv):
@@ -228,6 +235,50 @@ def test_oversized_subspace_design_exits_2(capsys, argv):
     # about 10^13 blocks: refused before any allocation
     rc, err = _exit_and_error(capsys, argv)
     assert rc == 2 and err.startswith("error: ") and "bytes of memory" in err
+
+
+MERSENNE_61 = str(2 ** 61 - 1)  # a prime = 3 (mod 4): trial division takes minutes
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "paley", "--v", "1000000007"], "Paley(1000000007) has 1000000007 residues"),
+    (["gen", "paley", "--v", MERSENNE_61], "residues, 100 bytes each, beyond"),
+    (["gen", "singer", "--n", "2", "--q", MERSENNE_61], "refusing table construction"),
+], ids=["paley-1e9", "paley-2^61", "singer-2^61"])
+def test_oversized_field_inputs_exit_2_at_once(monkeypatch, capsys, argv, message):
+    # 8 GiB of memory, whatever the machine has: the squares of Z_(10^9+7)
+    # would take about 100 GB
+    monkeypatch.setattr(chunks.os, "sysconf", {"SC_PHYS_PAGES": 2 ** 21, "SC_PAGE_SIZE": 4096}.get)
+    start = time.perf_counter()
+    rc, err = _exit_and_error(capsys, argv)
+    assert rc == 2 and err.startswith("error: ") and message in err
+    assert time.perf_counter() - start < 5
+
+
+def test_embed_cyclic_huge_prime_is_refused_before_primality(tmp_path, capsys):
+    ds = tmp_path / "ds.json"
+    main(["gen", "dev", "--v", "13", "--set", "0,1,3,9", "--format", "diffset", "--out", str(ds)])
+    start = time.perf_counter()
+    rc, err = _exit_and_error(capsys, ["embed", "cyclic", str(ds), "--p", MERSENNE_61])
+    assert rc == 1 and err.startswith("BadPrime: ") and time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "pg", "--n", "3", "--q", "5", "--d", "1", "--points", "cyclic"],
+    ["gen", "singer", "--n", "2", "--q", "3"],
+], ids=["pg-cyclic", "singer"])
+def test_trace_stage_counts_the_scalar_field_calls(tmp_path, argv):
+    # perfbench/trace_stage.py wraps FieldSpec.add_code and mul_code for
+    # --trace 1; the constructions themselves make no scalar call
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace_stage.py"), str(spans), "--"]
+        + argv + ["--out", str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert read(spans)["counts"] == {"gf.add_code.calls": 0, "gf.mul_code.calls": 0}
 
 
 def test_info(tmp_path, capsys):

@@ -217,8 +217,42 @@ def test_cyclic_group_order_mismatch_is_typed(monkeypatch):
 # every subspace by every point and deduplicating the cosets (AG).
 
 
+class _ListField:
+    """The scalar arithmetic of a field over list copies of its exp and
+    log tables, taken once, for the oracles' hot loops.  Addition is XOR
+    for p = 2 and otherwise goes through a Zech logarithm table, as the
+    field computed it before it added digits: independent of the field's
+    own addition."""
+
+    def __init__(self, field):
+        self.p, self.q = field.p, field.q
+        self._exp, self._log = field._exp.tolist(), field._log.tolist()
+        # 1 + r^j = r^zech[j], or zech[j] = -1 where 1 + r^j = 0; adding 1
+        # only changes the constant digit of r^j
+        one_plus = [c + 1 if c % self.p != self.p - 1 else c - (self.p - 1) for c in self._exp]
+        self._zech = [self._log[c] if c else -1 for c in one_plus]
+
+    def add_code(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        if a == 0 or b == 0:
+            return a or b
+        # a + b = a * (1 + b/a) = r^(log a + Z(log b - log a))
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % (self.q - 1)]
+        return 0 if z < 0 else self._exp[(la + z) % (self.q - 1)]
+
+    def mul_code(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+
+    def inv_code(self, a):
+        return self._exp[-self._log[a] % (self.q - 1)]
+
+
 def _ref_field(q):
-    return gf.make_field(*gf.prime_power(q))
+    return _ListField(gf.make_field(*gf.prime_power(q)))
 
 
 def _ref_rref_matrices(rows, cols, q):
@@ -277,7 +311,7 @@ def reference_pg_blocks(n, q, d):
 
 def reference_cyclic_blocks(n, q, d, poly=None):
     p, alpha = gf.prime_power(q)
-    field = gf.make_field(p, alpha * (n + 1), poly)
+    field = _ListField(gf.make_field(p, alpha * (n + 1), poly))
     big = field.q - 1
     v = geometry.bracket(n + 1, q)
     scalars = [0] + [field._exp[(j * v) % big] for j in range(q - 1)]
@@ -377,7 +411,7 @@ def test_subspace_designs_beyond_memory_are_refused(monkeypatch):
     # 4096 bytes of memory: the 7 Fano lines take 30 bytes each, the 130
     # lines of PG(3,3) 40, the 12 lines of AG(2,3) 30 and the 1080 of
     # AG(4,3) 34
-    monkeypatch.setattr(geometry.os, "sysconf", lambda name: 64)
+    monkeypatch.setattr(chunks.os, "sysconf", lambda name: 64)
     assert rows(geometry.pg_design(2, 2, 1)) == reference_pg_blocks(2, 2, 1)
     assert len(geometry.ag_design(2, 3, 1).blocks) == 12
     with pytest.raises(TooLarge, match="PG_1\\(3,3\\) has 130 blocks, 40 bytes each"):

@@ -1,7 +1,11 @@
+import functools
 import logging
 
+import numpy as np
 import pytest
-from sympy import factorint
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import factorint, isprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 
@@ -297,7 +301,7 @@ ORDER_TEST_FIELDS = (
 
 @pytest.mark.parametrize("p,n", ORDER_TEST_FIELDS)
 def test_order_test_agrees_with_walk_on_every_candidate(p, n):
-    factors = gf._prime_factors(p ** n - 1)
+    factors = list(gf._prime_factors(p ** n - 1))
     for cand in gf._poly_candidates(p, n):
         assert gf._is_primitive(p, n, cand, factors) == _old_is_primitive(p, n, cand), cand
 
@@ -315,7 +319,7 @@ def test_chosen_polynomial_is_first_primitive_by_sympy(p, n):
 
 def test_gf2_accepts_any_monic_linear_polynomial():
     assert gf.make_field(2, 1, [1, 1]).prim_poly == (1, 1)
-    assert gf.make_field(2, 1)._exp == [1]
+    assert np.array_equal(gf.make_field(2, 1)._exp, [1])
 
 
 @pytest.mark.parametrize(
@@ -326,8 +330,8 @@ def test_gf2_accepts_any_monic_linear_polynomial():
 def test_exp_table_matches_stepwise_table(p, n):
     f = gf.make_field(p, n)
     exp = _old_exp_table(p, n, f.prim_poly)
-    assert f._exp == exp
-    assert all(f._log[c] == i for i, c in enumerate(exp))
+    assert np.array_equal(f._exp, exp)
+    assert np.array_equal(f._log[exp], np.arange(len(exp)))
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2), (7, 2), (3, 1), (7, 1)])
@@ -388,4 +392,81 @@ def test_small_budget_gives_the_same_tables(monkeypatch, budget):
     monkeypatch.setattr(chunks, "BUDGET", budget)
     for f in fields:
         g = gf.FieldSpec(f.p, f.n, f.prim_poly)
-        assert (g._exp, g._log, g._zech) == (f._exp, f._log, f._zech)
+        assert np.array_equal(g._exp, f._exp) and np.array_equal(g._log, f._log)
+
+
+# -- the array field ------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (3, 3), (7, 2)])
+def test_tables_are_read_only_int64_arrays(p, n):
+    f = gf.make_field(p, n)
+    for table in (f._exp, f._log):
+        assert table.dtype == np.int64 and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_field(p, n):
+    return gf.make_field(p, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 4), (3, 1), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]),
+       st.integers(0, 4), st.integers(0, 7), st.data())
+def test_sum_codes_matches_folded_digit_addition(pn, rows, cols, data):
+    f = _cached_field(*pn)
+    codes = data.draw(st.lists(st.integers(0, f.q - 1), min_size=rows * cols,
+                               max_size=rows * cols))
+    got = f.sum_codes(np.array(codes, dtype=np.int64).reshape(rows, cols))
+    want = [functools.reduce(lambda a, b: _old_add_code(f.p, a, b), codes[i:i + cols], 0)
+            for i in range(0, rows * cols, cols)] if cols else [0] * rows
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_scalar_results_are_python_ints():
+    f = gf.make_field(3, 3)
+    a, b = f.exp(5).code, f.exp(11).code
+    results = [f.add_code(a, b), f.neg_code(a), f.sub_code(a, b), f.mul_code(a, b),
+               f.inv_code(a), f.div_code(a, b), f.log(a), gf.power_sum(f, 26).code,
+               gf.subgroup_generator(f, 13).code]
+    assert all(type(r) is int for r in results)
+
+
+# -- trial division against sympy ------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-5, 10 ** 5 - 1))
+def test_trial_division_matches_sympy(m):
+    assert gf.is_prime(m) == isprime(m)
+    if m < 1:
+        return
+    factors = factorint(m)
+    assert list(gf._prime_factors(m)) == sorted(factors)
+    if len(factors) == 1:
+        assert gf.prime_power(m) == next(iter(factors.items()))
+    else:
+        with pytest.raises(NotPrime, match="%d is not a prime power" % m):
+            gf.prime_power(m)
+
+
+def test_poly_candidates_run_low_degree_first():
+    # candidate v has the base-p digits of v as its coefficients of x^0, x^1, ...
+    for p, n in [(2, 3), (3, 2), (5, 1)]:
+        cands = list(gf._poly_candidates(p, n))
+        assert len(cands) == p ** n
+        for v, cand in enumerate(cands):
+            assert cand[0] == 1
+            assert sum(c * p ** j for j, c in enumerate(reversed(cand[1:]))) == v
+
+
+def test_oversized_fields_are_refused_before_any_arithmetic():
+    # 2^61 - 1 is prime; trial division of it would take minutes
+    with pytest.raises(FieldTooLarge):
+        gf.make_field(2 ** 61 - 1, 1)
+    with pytest.raises(FieldTooLarge):
+        gf.make_field(2, 10 ** 12)  # p^n is never formed
+    with pytest.raises(NotPrime):
+        gf.make_field(6, 1)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 
-from addesigns import chunks, gf
+from addesigns import chunks, geometry, gf
 from addesigns.designs import Design, singer_diffset, validate_2design
 
 MiB = 2 ** 20
@@ -37,8 +37,16 @@ def test_validate_2design_singer32_peaks_below_3_mib():
     assert design.lam == 1
 
 
-def test_gf_2_15_table_build_peaks_below_4_mib():
-    # 5.9 MiB with the exp table computed in ranges of 2^16 rows; the
-    # exp and log lists the field keeps are about 2.5 MiB of it
+def test_gf_2_15_table_build_peaks_below_2_mib():
+    # 3.2 MiB when the field kept its exp and log tables as Python lists
+    # (about 2.5 MiB of it); 1.0 MiB with the two int64 arrays
     poly = gf.make_field(2, 15).prim_poly
-    assert peak_bytes(lambda: gf.FieldSpec(2, 15, poly)) < 4 * MiB
+    assert peak_bytes(lambda: gf.FieldSpec(2, 15, poly)) < 2 * MiB
+
+
+def test_enumerate_subspaces_4_7_1_peaks_below_6_mib():
+    # the 1.3 MiB of bases of the lines of PG(4,7); 12.8 MiB when gf.digits
+    # expanded the free entries through (codes, digits) int64 temporaries
+    bases = []
+    assert peak_bytes(lambda: bases.append(geometry.enumerate_subspaces(4, 7, 1))) < 6 * MiB
+    assert bases[0].shape == (geometry.gaussian(5, 2, 7), 2, 5)

@@ -213,6 +213,30 @@ def test_verify_strong_unvalidated_design_matches_brute_force(blocks):
     assert verify_strong(design, emb).to_dict() == expected.to_dict()
 
 
+# (strong, zero_sum_subsets) as the set-of-tuples comparison gave them:
+# found sets are compared with the distinct blocks
+@pytest.mark.parametrize("change, strong", [
+    (lambda b: b + [b[3]], "pass"),  # a line twice: 7 distinct blocks, 7 found
+    (lambda b: b + b, "pass"),
+    (lambda b: b[1:] + [b[3]], "fail"),  # the missing line is found: a stray set
+    (lambda b: b + [[0, 1, 3], [0, 1, 3]], "fail"),  # 8 distinct blocks, 7 found
+], ids=["one-twice", "all-twice", "missing", "non-zero-sum-twice"])
+def test_verify_strong_with_repeated_blocks(change, strong):
+    fano = geometry.pg_design(2, 2, 1)
+    emb = symmetric_strong_embedding(fano)
+    design = Design(7, change(fano.blocks.tolist()))
+    report = verify_strong(design, emb)
+    assert (report.strong, report.zero_sum_subsets) == (strong, 7)
+    assert report.to_dict() == reference_verify_strong(design, emb).to_dict()
+
+
+def test_verify_strong_without_blocks_fails():
+    # the empty 0-subset is zero-sum and is no block
+    emb = Embedding(AbelianGroup(2, 2), [(i % 2, i // 4) for i in range(7)], "random")
+    report = verify_strong(Design(7, []), emb)
+    assert (report.strong, report.zero_sum_subsets, report.blocks) == ("fail", 1, 0)
+
+
 @pytest.mark.parametrize("t", [1, 2], ids=["packed", "projected"])
 def test_verify_strong_modulus_2_62_matches_brute_force(t):
     # residues near m = 2^62: the kernel reduces after every addition, so
