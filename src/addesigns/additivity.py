@@ -62,11 +62,12 @@ class Embedding:
     def __init__(self, group, image, kind, meta=None):
         if group.m > np.iinfo(np.int64).max:
             raise TooLarge("modulus %d is not below 2^63" % group.m)
-        image = np.asarray(image, dtype=np.int64)
+        image = np.array(image, dtype=np.int64)  # the one copy, reduced in place
         if image.ndim != 2 or image.shape[1] != group.t:
             raise GroupMismatch("expected rank-%d vectors" % group.t)
+        np.remainder(image, group.m, out=image)
         self.group = group
-        self.image = (image % group.m).astype(_residue_dtype(group.m))
+        self.image = image.astype(_residue_dtype(group.m))
         self.kind = kind
         self.meta = dict(meta or {})
 
@@ -79,7 +80,7 @@ class Embedding:
         return {
             "group": {"m": self.group.m, "t": self.group.t},
             "kind": self.kind,
-            "image": self.image.tolist(),
+            "image": self.image,
             "meta": self.meta,
         }
 
@@ -90,7 +91,8 @@ class Embedding:
         if m < 2 or t < 1:
             raise MalformedDocument("need modulus >= 2 and rank >= 1")
         image = document_rows(d, "image")
-        if any(len(row) != t for row in image):
+        widths = {image.shape[1]} if isinstance(image, np.ndarray) else set(map(len, image))
+        if not widths <= {t}:
             raise MalformedDocument("every image row must have length t = %d" % t)
         return cls(AbelianGroup(m, t), image, document_field(d, "kind", str), d.get("meta"))
 
@@ -264,6 +266,10 @@ def ag_identity_embedding(n, q):
     The coefficients of a code of GF(q) are its base-p digits, so the
     string of a point is the base-p digits of its lexicographic code."""
     p, alpha = gf.prime_power(q)
+    # a point takes its code and two int64 temporaries in gf.digits, then
+    # its alpha n digits, their int64 copy and their residues (tracemalloc
+    # peak of ag_identity_embedding(8, 5): 80 bytes per point)
+    chunks.refuse_beyond_memory("AG(%d,%d)" % (n, q), q ** n, "points", 24 + 10 * alpha * n)
     image = gf.digits(np.arange(q ** n), alpha * n, p)
     return _injective(Embedding(AbelianGroup(p, alpha * n), image, "identity", {"n": n, "q": q}))
 

@@ -9,7 +9,9 @@ import contextlib
 import json
 import sys
 
-from . import additivity, designs, geometry
+import numpy as np
+
+from . import additivity, chunks, designs, geometry
 from .errors import AddesignsError, MalformedDocument, SizeMismatch, TooLarge
 
 EXIT_OK = 0
@@ -22,10 +24,45 @@ def _parse_ints(text):
 
 
 def _emit(doc, out):
-    """Stream doc as indented JSON plus a newline to out or stdout."""
+    """Write the dict doc as indented JSON plus a newline to out or stdout.
+
+    The bytes are those of json.dump(doc, indent=2, sort_keys=True) with
+    every array as its list.  A 2-D integer array value is written a chunk
+    of rows at a time, one %d format per row; every other value is left to
+    the json encoder, streamed as json.dump streams it, with its lines
+    indented by two more spaces, as a value of the dict is.
+    """
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=np.ndarray.tolist)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write("{")
+        for i, key in enumerate(sorted(doc)):
+            fh.write("%s\n  %s: " % ("," if i else "", json.dumps(key)))
+            value = doc[key]
+            if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu":
+                _write_rows(fh, value)
+            else:
+                for chunk in encoder.iterencode(value):
+                    fh.write(chunk.replace("\n", "\n  "))
+        fh.write("\n}\n" if doc else "}\n")
+
+
+def _write_rows(fh, rows):
+    """Write a 2-D integer array as the list of lists a value of the
+    document's dict is in indented JSON."""
+    if not len(rows):
+        fh.write("[]")
+        return
+    k = rows.shape[1]
+    row = "\n    [%s\n    ]" % ",".join(["\n      %d"] * k) if k else "\n    []"
+    # a row takes its text twice (its string and the joined chunk), at most
+    # len(row) + 18 k characters, and k Python ints of up to 48 bytes each
+    # with their list and tuple entries
+    step = chunks.rows_per_chunk(2 * len(row) + 84 * k)
+    fh.write("[")
+    for lo in range(0, len(rows), step):
+        text = ",".join([row % tuple(r) for r in rows[lo:lo + step].tolist()])
+        fh.write("," + text if lo else text)
+    fh.write("\n  ]")
 
 
 def _load(path):
@@ -103,8 +140,16 @@ def _infer_field_degree(v, q):
 
 
 def cmd_verify(args):
+    # The embedding, the larger document, is read first, while the heap is
+    # smallest; its error waits until the design has been read, so that the
+    # design's error is the one reported.
+    try:
+        emb, emb_error = additivity.Embedding.from_dict(_load(args.embedding)), None
+    except Exception as exc:
+        emb, emb_error = None, exc
     design = _design_from_doc(_load(args.design))
-    emb = additivity.Embedding.from_dict(_load(args.embedding))
+    if emb_error is not None:
+        raise emb_error
     if args.strong:
         report = additivity.verify_strong(design, emb, cap=args.cap)
     else:

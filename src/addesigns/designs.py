@@ -33,19 +33,30 @@ def document_field(doc, key, kind):
 
 
 def document_rows(doc, key):
-    """doc[key], which must be a list of lists of 64-bit integers."""
+    """doc[key]: a 2-D integer array, or a list of lists of 64-bit integers.
+
+    A list is checked by streaming over its rows, with no flat copy."""
+    rows = doc.get(key) if isinstance(doc, dict) else None
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.dtype.kind not in "iu":
+            raise MalformedDocument("%r must be a 2-D integer array" % key)
+        if rows.dtype == np.uint64 and rows.size and rows.max() > _INT64.max:
+            raise TooLarge("%r has entries beyond 64-bit integers" % key)
+        return rows
     rows = document_field(doc, key, list)
-    # a row that is not a list contributes a None, which fails the type test
-    flat = list(itertools.chain.from_iterable(r if isinstance(r, list) else [None] for r in rows))
-    _check_int64(key, flat, "a list of lists of integers")
+    if not {list} >= set(map(type, rows)):
+        raise MalformedDocument("%r must be a list of lists of integers" % key)
+    _check_int64(key, rows, "a list of lists of integers")
     return rows
 
 
-def _check_int64(key, values, shape):
-    """Raise unless every entry of values is an int (not a bool) within int64."""
-    if not {int} >= set(map(type, values)):
+def _check_int64(key, rows, shape):
+    """Raise unless every entry of the rows is an int (not a bool) within
+    int64; each of the two checks streams over the rows."""
+    entries = itertools.chain.from_iterable
+    if not {int} >= set(map(type, entries(rows))):
         raise MalformedDocument("%r must be %s" % (key, shape))
-    if values and not _INT64.min <= min(values) <= max(values) <= _INT64.max:
+    if min(entries(rows), default=0) < _INT64.min or max(entries(rows), default=0) > _INT64.max:
         raise TooLarge("%r has entries beyond 64-bit integers" % key)
 
 
@@ -85,7 +96,7 @@ class Design:
         d = {
             "v": self.v,
             "points": self.points,
-            "blocks": self.blocks.tolist(),
+            "blocks": self.blocks,
         }
         if self.validated:
             d["k"] = self.k
@@ -120,27 +131,32 @@ class Design:
 
 def _pair_counts(blocks, replication):
     """Yield, over consecutive ranges of points x, the number of blocks
-    through both x and y for every point y > x, as one flat array per range.
+    through both x and y for every point y, as one (points, v) array per
+    range.  The count of x with itself, r_x, is no less than any other of
+    its row, so the least count of the range is that of a pair, and it
+    replaces the diagonal: every entry is the count of a pair.
 
     The blocks through each point are found by a stable sort of the
-    incidences.  A point of a range takes about 16 bytes for each of its v
-    pair counts (the int64 count, its mask and its selection) and for each
-    of its r k incidences (the int64 point gathered and its int32 code,
-    which bincount widens), and the ranges are sized by that.
+    incidences, which numpy radix-sorts on 8- and 16-bit point indices.  A
+    point of a range takes 8 bytes for each of its v int64 pair counts,
+    for each of its r k incidences (the int64 point gathered) and for each
+    of its r blocks (the offset of its counts), and the ranges are sized
+    by that.
     """
     k = blocks.shape[1]
     v = len(replication)
-    by_point = np.argsort(blocks.ravel(), kind="stable") // k
+    by_point = np.argsort(blocks.ravel().astype(np.min_scalar_type(v - 1)), kind="stable")
+    by_point //= k
     ends = np.cumsum(replication)
-    step = chunks.rows_per_chunk(16 * (v + int(replication.max()) * k))
+    step = chunks.rows_per_chunk(8 * (v + int(replication.max()) * (k + 1)))
     for x0 in range(0, v, step):
         x1 = min(v, x0 + step)
         lo, hi = ends[x0] - replication[x0], ends[x1 - 1]
-        codes = blocks[by_point[lo:hi]].astype(np.int32)
-        owner = np.repeat(np.arange(0, (x1 - x0) * v, v, dtype=np.int32), replication[x0:x1])
-        codes += owner[:, None]
+        codes = blocks.take(by_point[lo:hi], axis=0)
+        codes += np.repeat(np.arange(0, (x1 - x0) * v, v), replication[x0:x1])[:, None]
         counts = np.bincount(codes.ravel(), minlength=(x1 - x0) * v).reshape(x1 - x0, v)
-        yield counts[np.arange(v) > np.arange(x0, x1)[:, None]]
+        counts.reshape(-1)[x0::v + 1] = counts.min()  # (x, x) for x0 <= x < x1
+        yield counts
 
 
 def validate_2design(design):
@@ -152,10 +168,12 @@ def validate_2design(design):
     replication = np.bincount(blocks.ravel(), minlength=design.v)
     lam_values = set()
     for counts in _pair_counts(blocks, replication):
-        values = np.flatnonzero(np.bincount(counts))  # the distinct counts
-        if values.size and values[0] == 0:
+        low, high = int(counts.min()), int(counts.max())
+        if low == 0:
             raise NotTwoDesign("some point pair lies on no block")
-        lam_values.update(values.tolist())
+        # the distinct counts; only a range with more than one needs a tally
+        values = [low] if low == high else np.flatnonzero(np.bincount(counts.ravel())).tolist()
+        lam_values.update(values)
     if len(lam_values) != 1:
         raise NotTwoDesign("pair counts range over %s" % sorted(lam_values))
     lam = lam_values.pop()
@@ -192,7 +210,7 @@ class DifferenceSet:
         if v < 2:
             raise MalformedDocument("a difference-set document needs v >= 2")
         elems = document_field(d, "set", list)
-        _check_int64("set", elems, "a list of integers")
+        _check_int64("set", [elems], "a list of integers")
         return validate_difference_set(v, elems)
 
     def __repr__(self):
@@ -245,6 +263,10 @@ def validate_difference_set(v, elems):
 
 def develop(ds):
     """The symmetric design (Z_v, {D+i : 0 <= i < v}) of a certified set."""
+    # the blocks, their sorted copy and the incidence sort of their
+    # validation take about 32 bytes per entry (tracemalloc peak of the
+    # Paley(2003) development: 64 MB)
+    chunks.refuse_beyond_memory("the development of %r" % ds, ds.v, "blocks", 32 * ds.k)
     blocks = (np.array(ds.elems) + np.arange(ds.v)[:, None]) % ds.v
     return validate_2design(Design(ds.v, blocks))
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 from unittest import mock
 
 import numpy as np
@@ -333,10 +334,21 @@ def test_embedding_json_roundtrip():
     ds = validate_difference_set(7, [0, 1, 3])
     emb = cyclic_embedding(ds, 2)
     doc = emb.to_dict()
-    back = Embedding.from_dict(doc)
-    assert back.group == emb.group
-    assert rows(back.image) == rows(emb.image)
-    assert back.meta["sign"] == emb.meta["sign"]
+    assert doc["image"] is emb.image  # the array itself, not a list
+    parsed = json.loads(json.dumps(doc, default=lambda a: a.tolist()))
+    for back in (Embedding.from_dict(doc), Embedding.from_dict(parsed)):
+        assert back.group == emb.group
+        assert rows(back.image) == rows(emb.image)
+        assert back.meta["sign"] == emb.meta["sign"]
+
+
+def test_ag_identity_embedding_beyond_memory_is_refused(monkeypatch):
+    # 4096 bytes of memory: the 9 points of AG(2,3) take 44 bytes each,
+    # the 81 of AG(4,3) 64
+    monkeypatch.setattr(chunks.os, "sysconf", lambda name: 64)
+    assert ag_identity_embedding(2, 3).image.shape == (9, 2)
+    with pytest.raises(TooLarge, match="AG\\(4,3\\) has 81 points, 64 bytes each"):
+        ag_identity_embedding(4, 3)
 
 
 def test_embedding_reduces_residues_and_bounds_the_modulus():

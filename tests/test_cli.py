@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from addesigns import additivity, chunks, designs, geometry
-from addesigns.cli import main
+from addesigns.cli import _emit, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -255,6 +261,17 @@ def test_oversized_field_inputs_exit_2_at_once(monkeypatch, capsys, argv, messag
     assert time.perf_counter() - start < 5
 
 
+def test_paley_development_beyond_memory_exits_2(monkeypatch, capsys):
+    # 16 MiB of memory: the set of Paley(10007) takes about 1 MB, its
+    # development 10007 blocks of 5003 points, about 1.6 GB
+    monkeypatch.setattr(chunks.os, "sysconf", {"SC_PHYS_PAGES": 2 ** 12, "SC_PAGE_SIZE": 4096}.get)
+    rc, err = _exit_and_error(capsys, ["gen", "paley", "--v", "10007"])
+    assert rc == 2 and err.startswith(
+        "error: the development of DifferenceSet(10007, 5003, 2501) has 10007 blocks")
+    assert main(["gen", "paley", "--v", "10007", "--format", "diffset"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["set"]) == 5003
+
+
 def test_embed_cyclic_huge_prime_is_refused_before_primality(tmp_path, capsys):
     ds = tmp_path / "ds.json"
     main(["gen", "dev", "--v", "13", "--set", "0,1,3,9", "--format", "diffset", "--out", str(ds)])
@@ -306,12 +323,88 @@ def test_gen_ag(tmp_path):
      lambda: additivity.pg_strong_embedding(2, 3, 1)),
 ])
 def test_emitted_bytes_match_json_dumps(tmp_path, capsys, argv, build):
-    want = (json.dumps(build().to_dict(), indent=2, sort_keys=True) + "\n").encode()
+    doc = build().to_dict()
+    want = (json.dumps(doc, indent=2, sort_keys=True, default=lambda a: a.tolist()) + "\n").encode()
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == want
     out = tmp_path / "doc.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == want
+
+
+# -- every document type round-trips through _emit and json ---------------
+
+META = {"v": st.integers(0, 10 ** 6), "name": st.text(max_size=5),
+        "poly": st.lists(st.integers(-3, 3), max_size=4)}
+
+
+@st.composite
+def design_documents(draw):
+    """A design of up to 6 blocks, possibly none or of no points each, or
+    the validated development of a small difference set."""
+    if draw(st.booleans()):
+        v, elems = draw(st.sampled_from([(7, [0, 1, 3]), (11, [1, 3, 4, 5, 9]),
+                                         (13, [0, 1, 3, 9])]))
+        return designs.develop(designs.validate_difference_set(v, elems))
+    v = draw(st.integers(1, 9))
+    k, b = draw(st.integers(0, v)), draw(st.integers(0, 6))
+    blocks = [draw(st.permutations(range(v)))[:k] for _ in range(b)]
+    return designs.Design(v, np.array(blocks, dtype=np.int64).reshape(b, k))
+
+
+@st.composite
+def embeddings(draw):
+    m, t, v = draw(st.integers(2, 2 ** 62)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entries = st.integers(-2 ** 63, 2 ** 63 - 1)
+    image = draw(st.lists(st.lists(entries, min_size=t, max_size=t), min_size=v, max_size=v))
+    meta = draw(st.fixed_dictionaries({}, optional=META))
+    return additivity.Embedding(additivity.AbelianGroup(m, t), image, draw(st.text(max_size=8)), meta)
+
+
+def reports():
+    pair = st.tuples(st.integers(0, 50), st.lists(st.integers(0, 2 ** 40), max_size=3))
+    return st.builds(additivity.Report, st.booleans(), st.booleans(),
+                     st.sampled_from(["pass", "fail", "skipped"]),
+                     st.none() | st.integers(0, 10 ** 9), st.integers(0, 10 ** 6),
+                     st.lists(pair.map(list), max_size=3),
+                     st.sampled_from([None, "strict", "almost-strict"]))
+
+
+def difference_sets():
+    sets = [(7, [0, 1, 3]), (13, [0, 1, 3, 9]), (21, [3, 6, 7, 12, 14])]
+    return st.sampled_from(sets).map(lambda s: designs.validate_difference_set(*s))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=design_documents() | embeddings() | reports() | difference_sets(),
+       budget=st.integers(1, 2000) | st.just(chunks.BUDGET))
+def test_every_document_round_trips_through_emit(tmp_path, obj, budget):
+    # a small budget writes the rows a few at a time
+    doc = obj.to_dict()
+    want = json.dumps(doc, indent=2, sort_keys=True, default=lambda a: a.tolist()) + "\n"
+    stdout = io.StringIO()
+    out = tmp_path / "doc.json"
+    with mock.patch.object(chunks, "BUDGET", budget):
+        with contextlib.redirect_stdout(stdout):
+            _emit(doc, None)
+        _emit(doc, str(out))
+    assert stdout.getvalue() == want
+    assert out.read_bytes() == want.encode()
+    parsed = json.loads(want)
+    if isinstance(obj, designs.Design):
+        back = designs.Design.from_dict(parsed)
+        assert (back.v, back.points, back.k, back.lam) == (obj.v, obj.points, obj.k, obj.lam)
+        assert back.blocks.tolist() == obj.blocks.tolist()
+    elif isinstance(obj, additivity.Embedding):
+        back = additivity.Embedding.from_dict(parsed)
+        assert (back.group, back.kind, back.meta) == (obj.group, obj.kind, obj.meta)
+        assert back.image.dtype == obj.image.dtype and np.array_equal(back.image, obj.image)
+    elif isinstance(obj, designs.DifferenceSet):
+        back = designs.DifferenceSet.from_dict(parsed)
+        assert (back.v, back.elems, back.lam) == (obj.v, obj.elems, obj.lam)
+    else:
+        assert parsed == doc
 
 
 # -- malformed documents exit 2 without a traceback ------------------------
@@ -379,6 +472,26 @@ def test_malformed_embedding_exits_2(tmp_path, capsys, change):
     for argv in [["verify", str(design), str(emb)]] + infos:
         rc, err = _exit_and_error(capsys, argv)
         assert rc == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("break_design, expected", [
+    (lambda doc: doc.pop("v"), (2, "error: document needs 'v' of type int\n")),
+    (lambda doc: doc.update(k=4), (1, "NotTwoDesign: document claims (k, lambda) = (4, 1), "
+                                      "blocks give (3, 1)\n")),
+], ids=["no-v", "wrong-k"])
+@pytest.mark.parametrize("break_embedding", [
+    lambda path: path.write_text(json.dumps(dict(read(path), image="x"))),
+    lambda path: path.write_text("{"),
+    lambda path: path.unlink(),
+], ids=["malformed", "not-json", "missing"])
+def test_verify_reports_the_design_error_before_the_embedding_error(
+        tmp_path, capsys, break_design, expected, break_embedding):
+    design, emb = _fano_documents(tmp_path)
+    doc = read(design)
+    break_design(doc)
+    design.write_text(json.dumps(doc))
+    break_embedding(emb)
+    assert _exit_and_error(capsys, ["verify", str(design), str(emb)]) == expected
 
 
 def _plane3_set(tmp_path):

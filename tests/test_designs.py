@@ -1,4 +1,5 @@
 import itertools
+import json
 from unittest import mock
 
 import numpy as np
@@ -219,8 +220,10 @@ def test_design_json_roundtrip():
     d = validate_2design(Design(7, FANO_BLOCKS))
     doc = d.to_dict()
     assert doc["k"] == 3 and doc["lambda"] == 1
-    back = Design.from_dict(doc)
-    assert back.blocks.tolist() == d.blocks.tolist() and back.lam == 1
+    assert doc["blocks"] is d.blocks  # the array itself, not a list
+    parsed = json.loads(json.dumps(doc, default=lambda a: a.tolist()))
+    for back in (Design.from_dict(doc), Design.from_dict(parsed)):
+        assert back.blocks.tolist() == d.blocks.tolist() and back.lam == 1
 
 
 @pytest.mark.parametrize("key, value", [("k", 4), ("lambda", 2)])

@@ -1,10 +1,12 @@
 """Peak memory of the chunked kernels, measured with tracemalloc."""
 
+import json
 import tracemalloc
 
 import numpy as np
 
-from addesigns import chunks, geometry, gf
+from addesigns import chunks, cli, geometry, gf
+from addesigns.additivity import Embedding, pg_strong_embedding
 from addesigns.designs import Design, singer_diffset, validate_2design
 
 MiB = 2 ** 20
@@ -50,3 +52,22 @@ def test_enumerate_subspaces_4_7_1_peaks_below_6_mib():
     bases = []
     assert peak_bytes(lambda: bases.append(geometry.enumerate_subspaces(4, 7, 1))) < 6 * MiB
     assert bases[0].shape == (geometry.gaussian(5, 2, 7), 2, 5)
+
+
+def test_writing_the_pg441_embedding_peaks_below_0_4_mib(tmp_path):
+    # 0.98 MiB when to_dict() made the 341 x 341 image a list of lists and
+    # json.dump encoded it in pure Python
+    emb = pg_strong_embedding(4, 4, 1)
+    out = tmp_path / "emb.json"
+    assert peak_bytes(lambda: cli._emit(emb.to_dict(), str(out))) < 0.4 * MiB
+    assert json.loads(out.read_text())["image"] == emb.image.tolist()
+
+
+def test_reading_the_pg441_embedding_peaks_below_1_2_mib():
+    # 1.89 MiB with a flat list of the entries, their int64 copy and a
+    # second int64 array of remainders
+    doc = json.loads(json.dumps(pg_strong_embedding(4, 4, 1).to_dict(),
+                                default=lambda a: a.tolist()))
+    embs = []
+    assert peak_bytes(lambda: embs.append(Embedding.from_dict(doc))) < 1.2 * MiB
+    assert embs[0].image.tolist() == doc["image"]
