@@ -62,12 +62,18 @@ class Embedding:
     def __init__(self, group, image, kind, meta=None):
         if group.m > np.iinfo(np.int64).max:
             raise TooLarge("modulus %d is not below 2^63" % group.m)
-        image = np.array(image, dtype=np.int64)  # the one copy, reduced in place
+        # an integer array of residues is copied straight to the residue
+        # dtype; anything else goes through one int64 copy reduced in place
+        reduced = (isinstance(image, np.ndarray) and image.dtype.kind in "iu"
+                   and (not image.size or 0 <= image.min() and image.max() < group.m))
+        image = np.array(image, dtype=_residue_dtype(group.m) if reduced else np.int64)
         if image.ndim != 2 or image.shape[1] != group.t:
             raise GroupMismatch("expected rank-%d vectors" % group.t)
-        np.remainder(image, group.m, out=image)
+        if not reduced:
+            np.remainder(image, group.m, out=image)
+            image = image.astype(_residue_dtype(group.m))
         self.group = group
-        self.image = image.astype(_residue_dtype(group.m))
+        self.image = image
         self.kind = kind
         self.meta = dict(meta or {})
 
@@ -94,7 +100,10 @@ class Embedding:
         widths = {image.shape[1]} if isinstance(image, np.ndarray) else set(map(len, image))
         if not widths <= {t}:
             raise MalformedDocument("every image row must have length t = %d" % t)
-        return cls(AbelianGroup(m, t), image, document_field(d, "kind", str), d.get("meta"))
+        meta = d.get("meta")
+        if meta is not None and not isinstance(meta, dict):
+            raise MalformedDocument("'meta' must be an object")
+        return cls(AbelianGroup(m, t), image, document_field(d, "kind", str), meta)
 
     def __repr__(self):
         return "Embedding(%s, %r, v=%d)" % (self.group, self.kind, len(self.image))
@@ -266,12 +275,14 @@ def ag_identity_embedding(n, q):
     The coefficients of a code of GF(q) are its base-p digits, so the
     string of a point is the base-p digits of its lexicographic code."""
     p, alpha = gf.prime_power(q)
-    # a point takes its code and two int64 temporaries in gf.digits, then
-    # its alpha n digits, their int64 copy and their residues (tracemalloc
-    # peak of ag_identity_embedding(8, 5): 80 bytes per point)
-    chunks.refuse_beyond_memory("AG(%d,%d)" % (n, q), q ** n, "points", 24 + 10 * alpha * n)
-    image = gf.digits(np.arange(q ** n), alpha * n, p)
-    return _injective(Embedding(AbelianGroup(p, alpha * n), image, "identity", {"n": n, "q": q}))
+    # a point takes its code and two int64 temporaries in gf.digits with its
+    # alpha n one-byte digits, then the digits and their residue copy, then
+    # the residues and their sorted row keys (tracemalloc peak of
+    # ag_identity_embedding(8, 5): 32 bytes per point)
+    chunks.refuse_beyond_memory("AG(%d,%d)" % (n, q), q ** n, "points", 24 + 2 * alpha * n)
+    return _injective(Embedding(AbelianGroup(p, alpha * n),
+                                gf.digits(np.arange(q ** n), alpha * n, p),
+                                "identity", {"n": n, "q": q}))
 
 
 def verify_embedding(design, emb):

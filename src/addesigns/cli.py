@@ -6,7 +6,9 @@ Exit status convention (scriptable): 0 = all requested checks pass,
 
 import argparse
 import contextlib
+import itertools
 import json
+import re
 import sys
 
 import numpy as np
@@ -66,8 +68,74 @@ def _write_rows(fh, rows):
 
 
 def _load(path):
+    """Read a JSON document as json.load does, except that a top-level
+    "blocks" or "image" value that is a non-empty list of equal-length
+    lists of 64-bit integers comes back as one 2-D integer array.
+
+    json decodes that array a chunk of rows at a time; any other text, and
+    any text json rejects, is decoded whole by json.loads, so the result
+    or the error is then json's own."""
     with open(path) as fh:
-        return json.load(fh)
+        text = fh.read()
+    start = json.decoder.WHITESPACE.match(text).end()
+    if text.startswith("{", start):
+        with contextlib.suppress(ValueError, RecursionError):
+            doc, end = json.decoder.JSONObject(
+                (text, start + 1), True, _scan_value, None, _keep_matrices)
+            if json.decoder.WHITESPACE.match(text, end).end() == len(text):
+                return doc
+    return json.loads(text)
+
+
+def _keep_matrices(pairs):
+    return {key: value.tolist() if isinstance(value, np.ndarray) and key not in ("blocks", "image")
+            else value for key, value in pairs}
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _scan_value(text, idx):
+    """json's scan of the value at text[idx], or the rows of a list of
+    equal-length lists of 64-bit integers there as one array, and the end."""
+    if text.startswith("[", idx):
+        with contextlib.suppress(ValueError, OverflowError):
+            matrix = _matrix(text, idx + 1)
+            if matrix is not None:
+                return matrix
+    return _DECODER.scan_once(text, idx)
+
+
+def _matrix(text, pos):
+    """The array and end of the list whose rows may start at text[pos], or
+    None; ValueError or OverflowError where json or int64 rejects it.
+
+    Flat rows end at the first ']' that JSON whitespace and another ']'
+    follow.  They are cut after a ']' into chunks, which json decodes and
+    which are checked here, with the comma between two chunks."""
+    last = re.compile(r"\][ \t\n\r]*\]").search(text, pos)
+    if not (last and text.startswith("[", json.decoder.WHITESPACE.match(text, pos).end())):
+        return None
+    parts, step = [], 1
+    while True:
+        end = 1 + max(text.index("]", pos), text.rfind("]", pos, min(pos + step, last.start() + 1)))
+        rows = json.loads("[%s]" % text[pos:end])
+        if set(map(type, rows)) != {list} \
+                or set(map(type, itertools.chain.from_iterable(rows))) != {int}:
+            return None
+        chunk = np.array(rows, np.int64)  # ValueError if ragged
+        dtype = np.promote_types(np.min_scalar_type(chunk.min()), np.min_scalar_type(chunk.max()))
+        parts.append(chunk.astype(dtype if dtype.itemsize < 8 else np.int64))
+        if end == last.start() + 1:
+            return np.concatenate(parts), last.end()
+        # a row holds its text twice and its list of entries, each a slot
+        # and an int of up to 32 bytes, then 8 bytes each as int64
+        row_chars = (end - pos) // len(rows)
+        step = row_chars * chunks.rows_per_chunk(2 * row_chars + 48 * chunk.size // len(rows) + 64)
+        pos = json.decoder.WHITESPACE.match(text, end).end()
+        if not text.startswith(",", pos):
+            return None
+        pos += 1
 
 
 def _design_from_doc(doc):

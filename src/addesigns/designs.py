@@ -107,7 +107,10 @@ class Design:
     def from_dict(cls, d):
         """Read a design; a document that claims k (and lambda) is
         validated, and the claims must match what its blocks give."""
-        design = cls(document_field(d, "v", int), document_rows(d, "blocks"), d.get("points"))
+        v, blocks, points = document_field(d, "v", int), document_rows(d, "blocks"), d.get("points")
+        if points is not None and not (isinstance(points, list) and len(points) == v):
+            raise MalformedDocument("'points' must be a list of v = %d labels" % v)
+        design = cls(v, blocks, points)
         if "k" in d:
             design = validate_2design(design)
             claimed = (d["k"], d.get("lambda", design.lam))

@@ -343,11 +343,11 @@ def test_embedding_json_roundtrip():
 
 
 def test_ag_identity_embedding_beyond_memory_is_refused(monkeypatch):
-    # 4096 bytes of memory: the 9 points of AG(2,3) take 44 bytes each,
-    # the 81 of AG(4,3) 64
-    monkeypatch.setattr(chunks.os, "sysconf", lambda name: 64)
+    # 2304 bytes of memory: the 9 points of AG(2,3) take 28 bytes each,
+    # the 81 of AG(4,3) 32
+    monkeypatch.setattr(chunks.os, "sysconf", lambda name: 48)
     assert ag_identity_embedding(2, 3).image.shape == (9, 2)
-    with pytest.raises(TooLarge, match="AG\\(4,3\\) has 81 points, 64 bytes each"):
+    with pytest.raises(TooLarge, match="AG\\(4,3\\) has 81 points, 32 bytes each"):
         ag_identity_embedding(4, 3)
 
 
@@ -357,6 +357,24 @@ def test_embedding_reduces_residues_and_bounds_the_modulus():
     Embedding(AbelianGroup(2 ** 63 - 1, 1), [(2 ** 63 - 2,)], "test")
     with pytest.raises(TooLarge):
         Embedding(AbelianGroup(2 ** 63, 1), [(0,)], "test")
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(2, 300) | st.integers(2, 2 ** 63 - 1), data=st.data(),
+       dtype=st.sampled_from([np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32,
+                              np.int64, np.uint64]))
+def test_embedding_of_an_integer_array_matches_the_list_path(m, data, dtype):
+    # residues below m are copied straight to the residue dtype, others reduced
+    info = np.iinfo(dtype)
+    v, t = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    entries = (st.integers(max(info.min, -2 ** 63), min(info.max, 2 ** 63 - 1))
+               | st.integers(0, min(m - 1, info.max)))
+    image = np.array(data.draw(st.lists(st.lists(entries, min_size=t, max_size=t),
+                                        min_size=v, max_size=v)), dtype)
+    emb = Embedding(AbelianGroup(m, t), image, "test")
+    want = Embedding(AbelianGroup(m, t), image.tolist(), "test").image
+    assert emb.image.dtype == want.dtype and emb.image.tolist() == want.tolist()
+    assert not np.shares_memory(emb.image, image)
 
 
 def test_injective_compares_whole_rows():

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from addesigns import additivity, chunks, designs, geometry
-from addesigns.cli import _emit, main
+from addesigns.cli import _emit, _load, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -407,6 +407,125 @@ def test_every_document_round_trips_through_emit(tmp_path, obj, budget):
         assert parsed == doc
 
 
+# -- the reader returns what json.loads returns, with arrays for matrices ---
+
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False) | INT64 | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+# bools, floats, integers beyond int64, nested lists and what else json holds
+ODD_ENTRIES = (st.booleans() | st.floats(allow_nan=False) | st.integers(2 ** 63, 2 ** 70)
+               | st.integers(-2 ** 70, -2 ** 63 - 1) | st.lists(st.integers(0, 3), max_size=2)
+               | st.none() | st.text(max_size=2))
+
+
+@st.composite
+def matrices(draw):
+    """Rows of one length with entries from one int64 range, sometimes
+    with one entry made odd, or ragged and empty rows."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(st.lists(INT64 | ODD_ENTRIES, max_size=3) | ODD_ENTRIES, max_size=4))
+    b, k = draw(st.integers(0, 8)), draw(st.integers(0, 4))
+    lo, hi = draw(st.sampled_from([(0, 1), (0, 300), (-128, 127), (-2 ** 40, 2 ** 40),
+                                   (-2 ** 63, 2 ** 63 - 1)]))
+    rows = [[draw(st.integers(lo, hi)) for _ in range(k)] for _ in range(b)]
+    if b and k and draw(st.integers(0, 2)) == 0:
+        rows[draw(st.integers(0, b - 1))][draw(st.integers(0, k - 1))] = draw(ODD_ENTRIES)
+    elif b and draw(st.integers(0, 5)) == 0:
+        rows[draw(st.integers(0, b - 1))] = draw(ODD_ENTRIES)
+    return rows
+
+
+def _is_matrix(value):
+    return (type(value) is list and value and {list} == set(map(type, value))
+            and len(set(map(len, value))) == 1 and value[0] != []
+            and {int} == {type(x) for row in value for x in row}
+            and all(-2 ** 63 <= x < 2 ** 63 for row in value for x in row))
+
+
+@st.composite
+def document_texts(draw):
+    """The text of an object with a "blocks" or "image" matrix and up to
+    four other keys, which may repeat, each value with its own indentation;
+    or the text of a value of any kind."""
+    if draw(st.integers(0, 4)) == 0:
+        return json.dumps(draw(matrices() | JSON_VALUES))
+    keys = st.sampled_from(["blocks", "image", "v", "points", "meta"]) | st.text(max_size=3)
+    values = matrices() | JSON_VALUES | st.builds(dict, blocks=matrices())
+    pairs = draw(st.lists(st.tuples(keys, values), max_size=draw(st.sampled_from([0, 4]))))
+    pairs.insert(draw(st.integers(0, len(pairs))),
+                 (draw(st.sampled_from(["blocks", "image"])), draw(matrices())))
+    indent = st.sampled_from([None, 0, 2, "\t"])
+    return "{%s}" % ",".join("\n %s: %s" % (json.dumps(key), json.dumps(value, indent=draw(indent)))
+                             for key, value in pairs)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=document_texts(), data=st.data(),
+       budget=st.integers(1, 3000) | st.sampled_from([1, 100, 200]))
+def test_reader_matches_json_loads(tmp_path, text, data, budget):
+    # a small budget decodes the rows a few at a time, one at most at 200
+    # damage lands anywhere, or at a bracket, comma or colon, or just after
+    damage = data.draw(st.sampled_from(["none", "truncate", "insert", "delete"]))
+    marks = [i for i, c in enumerate(text) if c in "[]{},:"] or [0]
+    cut = data.draw(st.integers(0, len(text))
+                    | st.sampled_from(marks).flatmap(lambda i: st.sampled_from([i, i + 1])))
+    if damage == "truncate":
+        text = text[:cut]
+    elif damage == "insert":
+        # or a space that is not JSON whitespace
+        junk = st.sampled_from(list('[]{},:"-0 1e.\\tn')) | st.sampled_from("\x0b\x0c\xa0\u2028")
+        text = text[:cut] + data.draw(junk) + text[cut:]
+    elif damage == "delete":
+        text = text[:cut] + text[cut + 1:]
+    _assert_read_as_json(tmp_path, text, budget)
+
+
+@pytest.mark.parametrize("text", [
+    '{"blocks": [[1] [2]]}', '{"blocks": [[1]x[2]]}', '{"blocks": [[1],, [2]]}',
+    '{"blocks": [[1], [2],]}', '{"blocks": [[1], [2]] ]}', '{"blocks": [[1], [2]\n]  }',
+    '{"blocks": [[1],\x0c[2]]}', '{"blocks": [[1]\x0c, [2]]}', '{"blocks": [[1], [2]\xa0]}',
+    '{"blocks": [[1], 5, [2]]}', '{"blocks": [[1], null]}', '{"blocks": [[1], {"a": 2}]}',
+    '{"blocks": [[1], [[2]]]}', '{"blocks": [[1], ["]]"]]}', '{"blocks": [[1], [2]}',
+    '{"blocks": [[1], [2]], "x": [[3]]}', '{"blocks": [[1], 5], "x": [[3]]}',
+    '{"image": [[1, 2], [3]], "blocks": [[1], [2]], "blocks": [[3]]}',
+    '{"blocks": [[-9223372036854775809], [1]]}', '{"blocks": [[1e3], [1]]}',
+], ids=range(20))
+@pytest.mark.parametrize("budget", [1, chunks.BUDGET])
+def test_reader_matches_json_loads_where_rows_meet(tmp_path, text, budget):
+    _assert_read_as_json(tmp_path, text, budget)
+
+
+def _assert_read_as_json(tmp_path, text, budget):
+    """_load on a file of text gives json.loads's value, with arrays for
+    the matrices, or raises its exception with its message."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    try:
+        want = json.loads(path.read_text())
+    except (ValueError, RecursionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            with mock.patch.object(chunks, "BUDGET", budget):
+                _load(str(path))
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    with mock.patch.object(chunks, "BUDGET", budget):
+        doc = _load(str(path))
+    if not isinstance(want, dict):
+        assert repr(doc) == repr(want)
+        return
+    assert list(doc) == list(want)
+    for key, value in want.items():
+        if key in ("blocks", "image") and _is_matrix(value):
+            assert isinstance(doc[key], np.ndarray) and doc[key].dtype.kind in "iu"
+            assert repr(doc[key].tolist()) == repr(value)
+        else:
+            assert repr(doc[key]) == repr(value)
+
+
 # -- malformed documents exit 2 without a traceback ------------------------
 
 
@@ -435,8 +554,10 @@ def _exit_and_error(capsys, argv):
     lambda doc: doc.update(blocks=[7] + doc["blocks"][1:]),
     lambda doc: doc.update(v="7"),
     lambda doc: doc.update(blocks=[[0, 1, 2 ** 64]] + doc["blocks"][1:]),
+    lambda doc: doc.update(points=5),
+    lambda doc: doc.update(points=doc["points"][:3]),
 ], ids=["no-v", "no-blocks", "blocks-string", "str-entry", "float-entry", "bool-entry",
-        "row-not-list", "v-string", "entry-beyond-64-bits"])
+        "row-not-list", "v-string", "entry-beyond-64-bits", "points-int", "points-short"])
 def test_malformed_design_exits_2(tmp_path, capsys, change):
     design, emb = _fano_documents(tmp_path)
     doc = read(design)
@@ -460,8 +581,9 @@ def test_malformed_design_exits_2(tmp_path, capsys, change):
     lambda doc: doc["group"].update(m=1),
     lambda doc: doc["group"].update(t=0),
     lambda doc: doc["group"].update(m=2 ** 64),
+    lambda doc: doc.update(meta=5),
 ], ids=["no-image", "no-group", "no-kind", "no-m", "short-row", "float-entry",
-        "row-not-list", "m-1", "t-0", "m-2^64"])
+        "row-not-list", "m-1", "t-0", "m-2^64", "meta-int"])
 def test_malformed_embedding_exits_2(tmp_path, capsys, change):
     design, emb = _fano_documents(tmp_path)
     doc = read(emb)

@@ -12,9 +12,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from addesigns.cli import main
+from addesigns.cli import _load, main
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 NAMES = ["pg441", "ag432", "pg351c", "pg251-symmetric", "pg251c-subspace", "pg331-pg", "fano"]
@@ -54,3 +55,18 @@ def test_benchmark_documents_match_golden_digests(tmp_path, name):
         else:
             assert code == want["exit"]
             assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"], stage.args
+
+
+def test_reader_returns_json_with_arrays_for_every_golden_document(tmp_path):
+    for name in NAMES:
+        for stage in INSTANCES[name].stages:
+            if stage.verb == "verify":
+                continue
+            args = [str(tmp_path / (a[1:-1] + ".json")) if a.startswith("{") else a
+                    for a in stage.args]
+            out = tmp_path / (stage.output + ".json")
+            assert main(args + ["--out", str(out)]) == 0
+            doc, want = _load(str(out)), json.loads(out.read_text())
+            key = "blocks" if "blocks" in want else "image"
+            assert isinstance(doc[key], np.ndarray), (name, stage.output)
+            assert {k: v.tolist() if k == key else v for k, v in doc.items()} == want

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 
 from addesigns import chunks, cli, geometry, gf
-from addesigns.additivity import Embedding, pg_strong_embedding
+from addesigns.additivity import Embedding, ag_identity_embedding, pg_strong_embedding
 from addesigns.designs import Design, singer_diffset, validate_2design
 
 MiB = 2 ** 20
@@ -71,3 +71,23 @@ def test_reading_the_pg441_embedding_peaks_below_1_2_mib():
     embs = []
     assert peak_bytes(lambda: embs.append(Embedding.from_dict(doc))) < 1.2 * MiB
     assert embs[0].image.tolist() == doc["image"]
+
+
+def test_reading_the_pg441_design_peaks_below_1_mib(tmp_path):
+    # 1.51 MiB when json.load made every block a list of Python ints, which
+    # from_dict checked and copied to int64
+    path = tmp_path / "pg.json"
+    cli._emit(geometry.pg_design(4, 4, 1).to_dict(), str(path))
+    read = []
+    assert peak_bytes(lambda: read.append(Design.from_dict(cli._load(str(path))))) < 1.0 * MiB
+    assert read[0].lam == 1 and read[0].blocks.tolist() == json.loads(path.read_text())["blocks"]
+
+
+def test_pg441_strong_embedding_peaks_below_0_7_mib():
+    # 1.17 MiB when Embedding widened the uint8 complement matrix to int64
+    assert peak_bytes(lambda: pg_strong_embedding(4, 4, 1)) < 0.7 * MiB
+
+
+def test_ag_identity_embedding_peaks_below_48_bytes_a_point():
+    # 80 bytes a point when Embedding widened the uint8 digits to int64
+    assert peak_bytes(lambda: ag_identity_embedding(8, 5)) < 48 * 5 ** 8
