@@ -63,10 +63,16 @@ class Embedding:
         if group.m > np.iinfo(np.int64).max:
             raise TooLarge("modulus %d is not below 2^63" % group.m)
         # an integer array of residues is copied straight to the residue
-        # dtype; anything else goes through one int64 copy reduced in place
-        reduced = (isinstance(image, np.ndarray) and image.dtype.kind in "iu"
-                   and (not image.size or 0 <= image.min() and image.max() < group.m))
-        image = np.array(image, dtype=_residue_dtype(group.m) if reduced else np.int64)
+        # dtype; anything else goes through one 64-bit copy reduced in place,
+        # uint64 for an unsigned array so that no entry wraps
+        entries = image.dtype.kind if isinstance(image, np.ndarray) else None
+        reduced = entries in ("i", "u") and (
+            not image.size or 0 <= image.min() and image.max() < group.m)
+        dtype = _residue_dtype(group.m) if reduced else np.uint64 if entries == "u" else np.int64
+        try:
+            image = np.array(image, dtype=dtype)
+        except OverflowError:
+            raise TooLarge("'image' has entries beyond 64-bit integers") from None
         if image.ndim != 2 or image.shape[1] != group.t:
             raise GroupMismatch("expected rank-%d vectors" % group.t)
         if not reduced:

@@ -15,22 +15,6 @@ class NotPrimitivePolynomial(AddesignsError):
     pass
 
 
-class DivisionByZero(AddesignsError, ZeroDivisionError):
-    pass
-
-
-class FieldMismatch(AddesignsError):
-    pass
-
-
-class LogOfZero(AddesignsError):
-    pass
-
-
-class OrderDoesNotDivide(AddesignsError):
-    pass
-
-
 class NotCoprime(AddesignsError):
     pass
 

@@ -1,14 +1,13 @@
-"""Exact finite-field arithmetic GF(p^n) with precomputed exp/log tables.
+"""Exact finite-field arithmetic GF(p^n) as two precomputed tables.
 
-Elements are coefficient vectors over Z_p with respect to the root r of a
-primitive polynomial.  Display order is highest-degree coefficient first,
-so r^0 in GF(27) prints as (0,0,1).  Internally an element is encoded as
-the integer sum(c_j * p^j) with c_j the coefficient of x^j.
+An element is its integer code sum(c_j * p^j), c_j the coefficient of
+x^j of its polynomial in the root r of a primitive polynomial; `digits`
+turns codes into coefficient rows, highest degree first.
 
 Primitivity is decided by the order test on x (Lidl & Niederreiter,
 Finite Fields, Thm 3.16 ff.).  A field keeps two read-only int64 arrays,
-the exp and log tables; addition adds the base-p digits of the codes
-mod p, which is XOR for p = 2.
+the exp and log tables; `sum_codes` adds codes by adding their base-p
+digits mod p, which is XOR for p = 2.
 """
 
 import itertools
@@ -19,16 +18,7 @@ import time
 import numpy as np
 
 from . import chunks
-from .errors import (
-    DivisionByZero,
-    FieldMismatch,
-    FieldTooLarge,
-    LogOfZero,
-    NotCoprime,
-    NotPrime,
-    NotPrimitivePolynomial,
-    OrderDoesNotDivide,
-)
+from .errors import FieldTooLarge, NotCoprime, NotPrime, NotPrimitivePolynomial
 
 # Table-backed construction is refused beyond this order.
 MAX_FIELD_ORDER = 2 ** 20
@@ -40,74 +30,9 @@ def is_prime(m):
     return m >= 2 and next(_prime_factors(m)) == m
 
 
-class FieldElement:
-    """An element of a FieldSpec, held as its integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field, code):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self):
-        """Coefficient tuple, highest degree first."""
-        return self.field.coeffs_of_code(self.code)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.field is not self.field:
-            raise FieldMismatch("operands belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add_code(self.code, other.code))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.sub_code(self.code, other.code))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul_code(self.code, other.code))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.div_code(self.code, other.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg_code(self.code))
-
-    def __pow__(self, k):
-        f = self.field
-        if self.code == 0:
-            if k == 0:
-                return f.one
-            if k < 0:
-                raise DivisionByZero("negative power of zero")
-            return f.zero
-        e = (f.log(self) * k) % (f.q - 1)
-        return f.exp(e)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.field is self.field
-            and other.code == self.code
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.code))
-
-    def __repr__(self):
-        return "(" + ",".join(str(c) for c in self.coeffs) + ")"
-
-
 class FieldSpec:
-    """GF(p^n) defined by a primitive polynomial, with exp/log tables.
-
-    The tables are read-only int64 arrays; all operations are pure, and
-    the scalar ones take and return Python ints.
-    """
+    """GF(p^n) defined by a primitive polynomial, held as its read-only
+    int64 exp/log tables."""
 
     def __init__(self, p, n, prim_poly):
         self.p = p
@@ -153,35 +78,6 @@ class FieldSpec:
         exp.flags.writeable = log.flags.writeable = False
         self._exp, self._log = exp, log
 
-    # -- element access -------------------------------------------------
-
-    def coeffs_of_code(self, code):
-        """Coefficient tuple of a code, highest degree first."""
-        return tuple(map(int, digits([code], self.n, self.p)[0]))
-
-    def code_of_coeffs(self, coeffs):
-        """Code of a coefficient sequence given highest degree first."""
-        if len(coeffs) != self.n:
-            raise FieldMismatch("expected %d coefficients" % self.n)
-        v = 0
-        for c in coeffs:
-            v = v * self.p + c % self.p
-        return v
-
-    def element(self, coeffs):
-        return FieldElement(self, self.code_of_coeffs(coeffs))
-
-    @property
-    def zero(self):
-        return FieldElement(self, 0)
-
-    @property
-    def one(self):
-        return FieldElement(self, 1)
-
-    def elements(self):
-        return [FieldElement(self, c) for c in range(self.q)]
-
     # -- code-level arithmetic ------------------------------------------
 
     def sum_codes(self, codes):
@@ -195,52 +91,17 @@ class FieldSpec:
             total += (codes // w % self.p).sum(axis=-1) % self.p * w
         return total
 
-    def _digitwise(self, a, b, sign):
-        """The code whose base-p digits are a_j + sign * b_j mod p."""
-        p = self.p
-        total, w = 0, 1
-        while a or b:
-            total += (a + sign * b) % p * w  # a = a_j, b = b_j (mod p)
-            a //= p
-            b //= p
-            w *= p
-        return total
+    # The only scalar methods, kept because perfbench/trace_stage.py wraps
+    # these two by name to count scalar field calls; they go when those two
+    # counters do.
 
     def add_code(self, a, b):
-        return a ^ b if self.p == 2 else self._digitwise(a, b, 1)
-
-    def neg_code(self, a):
-        return a if self.p == 2 else self._digitwise(0, a, -1)
-
-    def sub_code(self, a, b):
-        return self.add_code(a, self.neg_code(b))
+        return int(self.sum_codes((a, b)))
 
     def mul_code(self, a, b):
         if a == 0 or b == 0:
             return 0
         return self._exp.item((self._log.item(a) + self._log.item(b)) % (self.q - 1))
-
-    def inv_code(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        return self._exp.item(-self._log.item(a) % (self.q - 1))
-
-    def div_code(self, a, b):
-        if b == 0:
-            raise DivisionByZero("division by zero")
-        return self.mul_code(a, self.inv_code(b))
-
-    # -- exp / log ------------------------------------------------------
-
-    def exp(self, i):
-        """r^i for the root r of prim_poly; i taken mod q-1."""
-        return FieldElement(self, self._exp.item(i % (self.q - 1)))
-
-    def log(self, x):
-        code = x.code if isinstance(x, FieldElement) else x
-        if code == 0:
-            raise LogOfZero("log of the zero element")
-        return self._log.item(code)
 
     def describe(self):
         return "GF(%d^%d; %s)" % (
@@ -402,15 +263,6 @@ def digits(codes, length, base):
     return out
 
 
-def subgroup_generator(field, v):
-    """A generator of the order-v subgroup of the multiplicative group."""
-    if v < 1 or (field.q - 1) % v != 0:
-        raise OrderDoesNotDivide("%d does not divide %d" % (v, field.q - 1))
-    if v == 1:
-        return field.one
-    return field.exp((field.q - 1) // v)
-
-
 def mult_order(u, v):
     """Smallest t >= 1 with u^t = 1 (mod v)."""
     if v < 2:
@@ -424,14 +276,3 @@ def mult_order(u, v):
         t += 1
     return t
 
-
-def power_sum(field, i):
-    """Sum of x^i over all field elements, with 0^0 = 1.
-
-    Equals 0 for 0 <= i <= q-2 and -1 for i = q-1.
-    """
-    if i == 0:  # every element contributes 1, including zero
-        terms = np.ones(field.q, dtype=np.int64)
-    else:
-        terms = field._exp[np.arange(field.q - 1) * (i % (field.q - 1)) % (field.q - 1)]
-    return FieldElement(field, field.sum_codes(terms).item())

@@ -201,8 +201,7 @@ def test_subspace_embedding_q2_is_field_identity():
     d = geometry.pg_design_cyclic(2, 2, 1)
     emb = subspace_embedding(3, 2, d)
     field = gf.make_field(2, 3)
-    for i in range(7):
-        assert rows(emb.image)[i] == field.exp(i).coeffs
+    assert rows(emb.image) == rows(gf.digits(field._exp, 3, 2))
     assert verify_embedding(d, emb).additive
 
 
@@ -215,8 +214,8 @@ def test_subspace_embedding_size_mismatch():
 def test_verify_embedding_detects_perturbation():
     fano = geometry.pg_design(2, 2, 1)
     field = gf.make_field(2, 3)
-    image = [field.exp(i).coeffs for i in range(7)]
-    image[3] = tuple((c + 1) % 2 for c in image[3])
+    image = gf.digits(field._exp, 3, 2)
+    image[3] = (image[3] + 1) % 2
     emb = Embedding(AbelianGroup(2, 3), image, "identity")
     report = verify_embedding(fano, emb)
     assert not report.additive
@@ -295,12 +294,10 @@ def test_sigma_product_matches_field_computation_small():
         t = gf.mult_order(p, ds.v)
         field = gf.make_field(p, t)
         e = (field.q - 1) // ds.v
-        s1 = field.zero
-        sm1 = field.zero
-        for d in ds.elems:
-            s1 = s1 + field.exp(e * d)
-            sm1 = sm1 + field.exp(-e * d)
-        assert (s1 * sm1) == field.zero
+        elems = np.array(ds.elems)
+        s1 = field.sum_codes(field._exp[e * elems % (field.q - 1)]).item()
+        sm1 = field.sum_codes(field._exp[-e * elems % (field.q - 1)]).item()
+        assert field.mul_code(s1, sm1) == 0
         assert sigma_product_is_zero(ds, p)
 
 
@@ -357,6 +354,21 @@ def test_embedding_reduces_residues_and_bounds_the_modulus():
     Embedding(AbelianGroup(2 ** 63 - 1, 1), [(2 ** 63 - 2,)], "test")
     with pytest.raises(TooLarge):
         Embedding(AbelianGroup(2 ** 63, 1), [(0,)], "test")
+
+
+def test_embedding_reduces_uint64_entries_beyond_int64_exactly():
+    big = [2 ** 64 - 1, 2 ** 63, 2 ** 63 + 12345, 7]
+    image = np.array([[x] for x in big], np.uint64)
+    for m in (5, 2 ** 61 - 1, 2 ** 63 - 1):
+        emb = Embedding(AbelianGroup(m, 1), image, "test")
+        assert emb.image.ravel().tolist() == [x % m for x in big]
+    assert image.ravel().tolist() == big
+
+
+def test_embedding_of_a_list_beyond_int64_is_too_large():
+    for entry in (2 ** 63, 2 ** 64 - 1, -2 ** 63 - 1):
+        with pytest.raises(TooLarge, match="'image' has entries beyond 64-bit integers"):
+            Embedding(AbelianGroup(5, 1), [[0], [entry]], "test")
 
 
 @settings(max_examples=100, deadline=None)
