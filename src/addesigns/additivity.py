@@ -10,7 +10,8 @@ import time
 import numpy as np
 
 from . import chunks, gf
-from .designs import difference_counts, document_field, document_rows, validate_2design
+from .designs import (
+    check_integers, difference_counts, document_field, document_rows, validate_2design)
 from .errors import (
     BadPrime,
     DegenerateOrder,
@@ -62,17 +63,15 @@ class Embedding:
     def __init__(self, group, image, kind, meta=None):
         if group.m > np.iinfo(np.int64).max:
             raise TooLarge("modulus %d is not below 2^63" % group.m)
-        # an integer array of residues is copied straight to the residue
-        # dtype; anything else goes through one 64-bit copy reduced in place,
+        # an array of residues is copied straight to the residue dtype;
+        # anything else goes through one 64-bit copy reduced in place,
         # uint64 for an unsigned array so that no entry wraps
+        check_integers("image", image)
         entries = image.dtype.kind if isinstance(image, np.ndarray) else None
-        reduced = entries in ("i", "u") and (
+        reduced = entries is not None and (
             not image.size or 0 <= image.min() and image.max() < group.m)
         dtype = _residue_dtype(group.m) if reduced else np.uint64 if entries == "u" else np.int64
-        try:
-            image = np.array(image, dtype=dtype)
-        except OverflowError:
-            raise TooLarge("'image' has entries beyond 64-bit integers") from None
+        image = np.array(image, dtype=dtype)
         if image.ndim != 2 or image.shape[1] != group.t:
             raise GroupMismatch("expected rank-%d vectors" % group.t)
         if not reduced:

@@ -30,11 +30,11 @@ def _emit(doc, out):
 
     The bytes are those of json.dump(doc, indent=2, sort_keys=True) with
     every array as its list.  A 2-D integer array value is written a chunk
-    of rows at a time, one %d format per row; every other value is left to
-    the json encoder, streamed as json.dump streams it, with its lines
-    indented by two more spaces, as a value of the dict is.
+    of rows at a time, one %d format per row; every other value holds no
+    array and is left to the json encoder, streamed as json.dump streams
+    it, with its lines indented by two more spaces, as a value of the dict is.
     """
-    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=np.ndarray.tolist)
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write("{")
         for i, key in enumerate(sorted(doc)):
@@ -143,59 +143,28 @@ def _design_from_doc(doc):
     return design if design.validated else designs.validate_2design(design)
 
 
-def cmd_gen(args):
-    poly = _parse_ints(args.poly) if args.poly else None
-    if args.kind == "pg":
-        if args.points == "cyclic":
-            design = geometry.pg_design_cyclic(args.n, args.q, args.d, poly)
-        else:
-            design = geometry.pg_design(args.n, args.q, args.d)
-        _emit(design.to_dict(), args.out)
-        return EXIT_OK
-    if args.kind == "ag":
-        _emit(geometry.ag_design(args.n, args.q, args.d).to_dict(), args.out)
-        return EXIT_OK
-    if args.kind == "paley":
-        ds = designs.paley_diffset(args.v)
-    elif args.kind == "singer":
-        ds = designs.singer_diffset(args.n, args.q, poly)
-    else:  # dev
-        ds = designs.validate_difference_set(args.v, _parse_ints(args.set))
-    if args.format == "diffset":
-        _emit(ds.to_dict(), args.out)
-    else:
-        _emit(designs.develop(ds).to_dict(), args.out)
+def cmd_build(args):
+    """Write the document of the object that the leaf's builder makes."""
+    _emit(args.build(args).to_dict(), args.out)
     return EXIT_OK
 
 
-def cmd_embed(args):
-    poly = _parse_ints(args.poly) if args.poly else None
-    if args.method == "symmetric":
-        design = _design_from_doc(_load(_require_input(args)))
-        emb = additivity.symmetric_strong_embedding(design)
-    elif args.method == "cyclic":
-        if args.p is None:
-            raise SizeMismatch("embed cyclic needs --p")
-        ds = designs.DifferenceSet.from_dict(_load(_require_input(args)))
-        emb = additivity.cyclic_embedding(ds, args.p, poly)
-    elif args.method == "pg":
-        if None in (args.n, args.q, args.d):
-            raise SizeMismatch("embed pg needs --n --q --d")
-        emb = additivity.pg_strong_embedding(args.n, args.q, args.d)
-    else:  # subspace
-        if args.q is None:
-            raise SizeMismatch("embed subspace needs --q")
-        design = _design_from_doc(_load(_require_input(args)))
-        m = _infer_field_degree(design.v, args.q)
-        emb = additivity.subspace_embedding(m, args.q, design, poly)
-    _emit(emb.to_dict(), args.out)
-    return EXIT_OK
+def _gen_pg(args):
+    if args.points == "cyclic":
+        return geometry.pg_design_cyclic(args.n, args.q, args.d, args.poly)
+    if args.poly is not None:
+        raise argparse.ArgumentError(None, "--poly is read with --points cyclic only")
+    return geometry.pg_design(args.n, args.q, args.d)
 
 
-def _require_input(args):
-    if not args.input:
-        raise SizeMismatch("this embed method needs an input file")
-    return args.input
+def _set_or_development(ds, args):
+    return ds if args.format == "diffset" else designs.develop(ds)
+
+
+def _embed_subspace(args):
+    design = _design_from_doc(_load(args.input))
+    m = _infer_field_degree(design.v, args.q)
+    return additivity.subspace_embedding(m, args.q, design, args.poly)
 
 
 def _infer_field_degree(v, q):
@@ -235,17 +204,31 @@ def cmd_verify(args):
 
 def cmd_info(args):
     doc = _load(args.file)
-    if "blocks" in doc:
+    keys = doc if isinstance(doc, dict) else ()
+    if "blocks" in keys:
         design = _design_from_doc(doc)
         sys.stdout.write(repr(design) + "\n")
-    elif "set" in doc:
+    elif "set" in keys:
         sys.stdout.write(repr(designs.DifferenceSet.from_dict(doc)) + "\n")
-    elif "image" in doc:
+    elif "image" in keys:
         emb = additivity.Embedding.from_dict(doc)
         sys.stdout.write(repr(emb) + "\n")
     else:
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
     return EXIT_OK
+
+
+def _leaf(kinds, name, help, build, *required, input=None):
+    """The parser of one kind: input file, required integer flags, --out.  build(args)
+    makes its object and looks library functions up as it runs, where a tracer wraps them."""
+    leaf = kinds.add_parser(name, help=help, description=help)
+    if input:
+        leaf.add_argument("input", help=input)
+    for flag in required:
+        leaf.add_argument("--" + flag, type=int, required=True)
+    leaf.add_argument("--out", help="write the document here, not to stdout")
+    leaf.set_defaults(func=cmd_build, build=build)
+    return leaf
 
 
 def build_parser():
@@ -258,30 +241,44 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    gen = sub.add_parser("gen", help="generate a design or difference set")
-    gen.add_argument("kind", choices=["pg", "ag", "paley", "singer", "dev"])
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--q", type=int)
-    gen.add_argument("--d", type=int)
-    gen.add_argument("--v", type=int)
-    gen.add_argument("--set", help="comma-separated difference-set elements")
-    gen.add_argument("--poly", help="field polynomial coefficients, high degree first")
-    gen.add_argument("--points", choices=["vector", "cyclic"], default="vector",
-                     help="point indexing for gen pg")
-    gen.add_argument("--format", choices=["design", "diffset"], default="design")
-    gen.add_argument("--out")
-    gen.set_defaults(func=cmd_gen)
+    kinds = sub.add_parser("gen", help="generate a design or difference set").add_subparsers(
+        dest="kind", required=True)
+    pg = _leaf(kinds, "pg", "PG_d(n,q): the d-subspaces of PG(n,q)", _gen_pg, "n", "q", "d")
+    pg.add_argument("--points", choices=["vector", "cyclic"], default="vector",
+                    help="point order: by vector, or cyclic along a Singer cycle of the "
+                         "field of --poly")
+    _leaf(kinds, "ag", "AG_d(n,q): the d-flats of AG(n,q)",
+          lambda a: geometry.ag_design(a.n, a.q, a.d), "n", "q", "d")
+    paley = _leaf(kinds, "paley", "the Paley difference set of Z_v",
+                  lambda a: _set_or_development(designs.paley_diffset(a.v), a), "v")
+    singer = _leaf(kinds, "singer", "the Singer difference set of PG(n,q)",
+                   lambda a: _set_or_development(designs.singer_diffset(a.n, a.q, a.poly), a),
+                   "n", "q")
+    dev = _leaf(kinds, "dev", "the development of a difference set of Z_v",
+                lambda a: _set_or_development(designs.validate_difference_set(a.v, a.set), a),
+                "v")
+    dev.add_argument("--set", type=_parse_ints, required=True,
+                     help="comma-separated difference-set elements")
+    for leaf in (paley, singer, dev):
+        leaf.add_argument("--format", choices=["design", "diffset"], default="design",
+                          help="write the development (default) or the set itself")
 
-    emb = sub.add_parser("embed", help="build an embedding for a design")
-    emb.add_argument("method", choices=["symmetric", "cyclic", "pg", "subspace"])
-    emb.add_argument("input", nargs="?", help="design or difference-set file")
-    emb.add_argument("--p", type=int, help="prime for the cyclic method")
-    emb.add_argument("--n", type=int)
-    emb.add_argument("--q", type=int)
-    emb.add_argument("--d", type=int)
-    emb.add_argument("--poly", help="field polynomial coefficients, high degree first")
-    emb.add_argument("--out")
-    emb.set_defaults(func=cmd_embed)
+    methods = sub.add_parser("embed", help="build an embedding for a design").add_subparsers(
+        dest="method", required=True)
+    _leaf(methods, "symmetric", "the strong embedding of a symmetric design",
+          lambda a: additivity.symmetric_strong_embedding(_design_from_doc(_load(a.input))),
+          input="design file")
+    cyclic = _leaf(methods, "cyclic", "the cyclic embedding of a difference set in EA(p^t)",
+                   lambda a: additivity.cyclic_embedding(
+                       designs.DifferenceSet.from_dict(_load(a.input)), a.p, a.poly),
+                   "p", input="difference-set file")
+    _leaf(methods, "pg", "the strong embedding of PG_d(n,q)",
+          lambda a: additivity.pg_strong_embedding(a.n, a.q, a.d), "n", "q", "d")
+    subspace = _leaf(methods, "subspace", "the power-map embedding of PG_d(m-1,q) with "
+                     "cyclic points", _embed_subspace, "q", input="design file")
+    for leaf in (pg, singer, cyclic, subspace):
+        leaf.add_argument("--poly", type=_parse_ints,
+                          help="field polynomial coefficients, high degree first")
 
     ver = sub.add_parser("verify", help="verify additivity of design + embedding")
     ver.add_argument("design")
@@ -306,6 +303,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     except (MalformedDocument, SizeMismatch, TooLarge) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE

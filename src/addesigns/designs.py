@@ -33,9 +33,8 @@ def document_field(doc, key, kind):
 
 
 def document_rows(doc, key):
-    """doc[key]: a 2-D integer array, or a list of lists of 64-bit integers.
-
-    A list is checked by streaming over its rows, with no flat copy."""
+    """doc[key]: a 2-D array of 64-bit integers, or a list of lists whose
+    entries the constructor that takes it checks with check_integers."""
     rows = doc.get(key) if isinstance(doc, dict) else None
     if isinstance(rows, np.ndarray):
         if rows.ndim != 2 or rows.dtype.kind not in "iu":
@@ -46,17 +45,19 @@ def document_rows(doc, key):
     rows = document_field(doc, key, list)
     if not {list} >= set(map(type, rows)):
         raise MalformedDocument("%r must be a list of lists of integers" % key)
-    _check_int64(key, rows, "a list of lists of integers")
     return rows
 
 
-def _check_int64(key, rows, shape):
-    """Raise unless every entry of the rows is an int (not a bool) within
-    int64; each of the two checks streams over the rows."""
+def check_integers(key, rows, shape="a list of lists of integers"):
+    """Raise MalformedDocument unless rows, an array or a list of lists, holds
+    ints or numpy integers (a bool is neither), and TooLarge for one beyond int64."""
     entries = itertools.chain.from_iterable
-    if not {int} >= set(map(type, entries(rows))):
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind not in "iu":
+            raise MalformedDocument("%r must hold integers, not %s" % (key, rows.dtype))
+    elif not all(t is int or issubclass(t, np.integer) for t in set(map(type, entries(rows)))):
         raise MalformedDocument("%r must be %s" % (key, shape))
-    if min(entries(rows), default=0) < _INT64.min or max(entries(rows), default=0) > _INT64.max:
+    elif min(entries(rows), default=0) < _INT64.min or max(entries(rows), default=0) > _INT64.max:
         raise TooLarge("%r has entries beyond 64-bit integers" % key)
 
 
@@ -69,6 +70,7 @@ class Design:
     """
 
     def __init__(self, v, blocks, points=None):
+        check_integers("blocks", blocks)
         if not isinstance(blocks, np.ndarray):
             sizes = sorted({len(b) for b in blocks})
             if len(sizes) > 1:
@@ -213,7 +215,7 @@ class DifferenceSet:
         if v < 2:
             raise MalformedDocument("a difference-set document needs v >= 2")
         elems = document_field(d, "set", list)
-        _check_int64("set", [elems], "a list of integers")
+        check_integers("set", [elems], "a list of integers")
         return validate_difference_set(v, elems)
 
     def __repr__(self):

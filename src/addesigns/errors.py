@@ -60,7 +60,7 @@ class BadModulus(AddesignsError):
 
 
 class MalformedDocument(AddesignsError):
-    """A JSON document lacks a field or holds one of the wrong type."""
+    """A document lacks a field, or it or a constructor's rows hold a value of the wrong type."""
 
 
 # --- embedding errors ---

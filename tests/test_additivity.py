@@ -33,6 +33,7 @@ from addesigns.errors import (
     DegenerateOrder,
     GroupMismatch,
     InvariantViolated,
+    MalformedDocument,
     NotSubspaceBlocks,
     NotSymmetric,
     SizeMismatch,
@@ -369,6 +370,17 @@ def test_embedding_of_a_list_beyond_int64_is_too_large():
     for entry in (2 ** 63, 2 ** 64 - 1, -2 ** 63 - 1):
         with pytest.raises(TooLarge, match="'image' has entries beyond 64-bit integers"):
             Embedding(AbelianGroup(5, 1), [[0], [entry]], "test")
+
+
+@pytest.mark.parametrize("image, message", [
+    ([[0.5], [6.7]], "'image' must be a list of lists of integers"),
+    (np.array([[0.5], [6.7]]), "'image' must hold integers, not float64"),
+    (np.array([[True], [False]]), "'image' must hold integers, not bool"),
+], ids=["float-list", "float-array", "bool-array"])
+def test_embedding_refuses_entries_that_are_not_integers(image, message):
+    # they were truncated: [[0.5], [6.7]] read as the image [[0], [1]]
+    with pytest.raises(MalformedDocument, match=message):
+        Embedding(AbelianGroup(5, 1), image, "test")
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,7 +1,9 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from addesigns import additivity, chunks, designs, geometry
-from addesigns.cli import _emit, _load, main
+from addesigns.cli import _emit, _load, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -682,3 +684,101 @@ def test_ragged_blocks_exit_1(tmp_path, capsys):
     for argv in (["verify", str(design), str(emb)], ["info", str(design)]):
         rc, err = _exit_and_error(capsys, argv)
         assert rc == 1 and err.startswith("UnequalBlockSizes: block sizes [2, 3]")
+
+
+def test_info_on_a_document_that_is_not_an_object_prints_it(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    for text in ("5", '"blocks and set"'):
+        path.write_text(text)
+        assert main(["info", str(path)]) == 0
+        assert capsys.readouterr() == (text + "\n", "")
+
+
+# Each leaf of gen and embed: a valid argv, and the flags it reads.
+LEAVES = {
+    "gen pg": (["--n", "2", "--q", "2", "--d", "1"], {"n", "q", "d", "points", "poly", "out"}),
+    "gen ag": (["--n", "2", "--q", "3", "--d", "1"], {"n", "q", "d", "out"}),
+    "gen paley": (["--v", "7"], {"v", "format", "out"}),
+    "gen singer": (["--n", "2", "--q", "2"], {"n", "q", "poly", "format", "out"}),
+    "gen dev": (["--v", "7", "--set", "1,2,4"], {"v", "set", "format", "out"}),
+    "embed symmetric": (["fano.json"], {"input", "out"}),
+    "embed cyclic": (["set.json", "--p", "2"], {"input", "p", "poly", "out"}),
+    "embed pg": (["--n", "2", "--q", "2", "--d", "1"], {"n", "q", "d", "out"}),
+    "embed subspace": (["pg.json", "--q", "2"], {"input", "q", "poly", "out"}),
+}
+
+
+def _usage_error(capsys, argv):
+    """The exit status and stderr of an argv that argparse refuses."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "usage: addesigns" in err
+    return exc.value.code, err
+
+
+def _case(leaf, flags, missing):
+    return pytest.param(leaf, flags, missing, id="%s without %s" % (leaf, " ".join(missing)))
+
+
+def _without_one_required(leaf):
+    valid = LEAVES[leaf][0]
+    for i, arg in enumerate(valid):
+        if arg.startswith("--"):
+            yield _case(leaf, valid[:i] + valid[i + 2:], [arg])
+        elif i == 0:
+            yield _case(leaf, valid[1:], ["input"])
+
+
+@pytest.mark.parametrize("leaf, flags, missing", [
+    case for leaf in LEAVES for case in _without_one_required(leaf)
+] + [
+    _case("gen pg", [], ["--n", "--q", "--d"]),
+    _case("gen ag", ["--n", "3"], ["--q", "--d"]),
+    _case("gen singer", [], ["--n", "--q"]),
+])
+def test_a_missing_required_flag_is_a_usage_error(capsys, leaf, flags, missing):
+    rc, err = _usage_error(capsys, leaf.split() + flags)
+    assert rc == 2 and "the following arguments are required: %s\n" % ", ".join(missing) in err
+
+
+@pytest.mark.parametrize("argv, foreign", [
+    (["gen", "ag", "--n", "2", "--q", "3", "--d", "1", "--poly", "1,1"], "--poly"),
+    (["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--format", "diffset"], "--format"),
+    (["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--set", "1,2", "--v", "99"], "--set"),
+    (["gen", "paley", "--v", "7", "--poly", "1,1"], "--poly"),
+    (["gen", "dev", "--v", "7", "--set", "1,2,4", "--n", "2"], "--n"),
+    (["embed", "pg", "x.json", "--n", "2", "--q", "2", "--d", "1"], "x.json"),
+    (["embed", "symmetric", "fano.json", "--p", "7"], "--p"),
+    (["embed", "cyclic", "set.json", "--p", "2", "--q", "2"], "--q"),
+    (["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--poly", "1,1,1"], "--poly"),
+    (["gen", "--n", "2", "pg", "--q", "2", "--d", "1"], "'2'"),
+], ids=["ag-poly", "pg-format", "pg-set-v", "paley-poly", "dev-n", "embed-pg-input",
+        "symmetric-p", "cyclic-q", "pg-poly-without-cyclic", "flag-before-kind"])
+def test_a_foreign_flag_is_a_usage_error(capsys, argv, foreign):
+    rc, err = _usage_error(capsys, argv)
+    assert rc == 2 and foreign in err
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_each_leaf_has_help_and_exactly_its_flags(capsys, leaf):
+    with pytest.raises(SystemExit) as exc:
+        main(leaf.split() + ["--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert exc.value.code == 0 and usage.startswith("usage: addesigns " + leaf)
+    flags = set(re.findall(r"--(\w+)", usage)) | ({"input"} & set(usage.split()))
+    assert flags == LEAVES[leaf][1]
+
+
+def test_every_benchmark_stage_parses():
+    # perfbench/ runs these argvs; a parser change must keep taking them
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    instances = [i for group in workloads.WORKLOADS.values() for i in group] + workloads.SELFCHECK
+    parser = build_parser()
+    for stage in (s for instance in instances for s in instance.stages):
+        argv = [re.sub(r"\{\w+\.\w+\}", "1", re.sub(r"\{\w+\}", "doc.json", a))
+                for a in stage.args]
+        assert parser.parse_args(argv).verb == stage.verb

@@ -19,8 +19,10 @@ from addesigns.designs import (
 from addesigns.errors import (
     BadModulus,
     EmptyDesign,
+    MalformedDocument,
     NotDifferenceSet,
     NotTwoDesign,
+    TooLarge,
     UnequalBlockSizes,
 )
 
@@ -54,6 +56,29 @@ def test_validate_rejects_unequal_sizes():
 def test_design_rejects_bad_blocks(blocks, message):
     with pytest.raises(NotTwoDesign, match=message):
         Design(4, blocks)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (np.array([[0.5, 1.9]]), "'blocks' must hold integers, not float64"),
+    ([[0.5, 1.9]], "'blocks' must be a list of lists of integers"),
+    (np.array([[True, False]]), "'blocks' must hold integers, not bool"),
+    ([[True, 2]], "'blocks' must be a list of lists of integers"),
+], ids=["float-array", "float-list", "bool-array", "bool-list"])
+def test_design_refuses_entries_that_are_not_integers(blocks, message):
+    # they were truncated: [[0.5, 1.9]] read as the block [0, 1]
+    with pytest.raises(MalformedDocument, match=message):
+        Design(3, blocks)
+
+
+def test_design_of_a_list_beyond_int64_is_too_large():
+    for entry in (2 ** 63, 2 ** 70, -2 ** 63 - 1):
+        with pytest.raises(TooLarge, match="'blocks' has entries beyond 64-bit integers"):
+            Design(3, [[entry, 1]])
+
+
+def test_design_takes_rows_of_numpy_integers():
+    rows = [list(row) for row in np.array([[2, 0, 1]], np.uint8)]
+    assert Design(3, rows).blocks.tolist() == [[0, 1, 2]]
 
 
 def test_validate_rejects_empty():
