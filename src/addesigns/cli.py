@@ -22,7 +22,10 @@ EXIT_USAGE = 2
 
 
 def _parse_ints(text):
-    return [int(x) for x in text.split(",") if x != ""]
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError("not comma-separated integers: %r" % text) from None
 
 
 def _emit(doc, out):
@@ -227,7 +230,7 @@ def _leaf(kinds, name, help, build, *required, input=None):
     for flag in required:
         leaf.add_argument("--" + flag, type=int, required=True)
     leaf.add_argument("--out", help="write the document here, not to stdout")
-    leaf.set_defaults(func=cmd_build, build=build)
+    leaf.set_defaults(func=cmd_build, build=build, parser=leaf)
     return leaf
 
 
@@ -290,21 +293,23 @@ def build_parser():
                           "sums are keyed plus expected equal-key pairs "
                           "(default %(default)d, about a minute)")
     ver.add_argument("--out")
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=cmd_verify, parser=ver)
 
     info = sub.add_parser("info", help="summarize a design/set/embedding file")
     info.add_argument("file")
-    info.set_defaults(func=cmd_info)
+    info.set_defaults(func=cmd_info, parser=info)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # a flag the leaf does not take is reported with the leaf's usage
+    args, foreign = build_parser().parse_known_args(argv)
+    if foreign:
+        args.parser.error("unrecognized arguments: %s" % " ".join(foreign))
     try:
         return args.func(args)
     except argparse.ArgumentError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except (MalformedDocument, SizeMismatch, TooLarge) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE

@@ -21,8 +21,6 @@ from .errors import (
     UnequalBlockSizes,
 )
 
-_INT64 = np.iinfo(np.int64)
-
 
 def document_field(doc, key, kind):
     """doc[key], which must exist and be of type `kind` (a bool is not an int)."""
@@ -32,33 +30,40 @@ def document_field(doc, key, kind):
     return value
 
 
-def document_rows(doc, key):
-    """doc[key]: a 2-D array of 64-bit integers, or a list of lists whose
-    entries the constructor that takes it checks with check_integers."""
-    rows = doc.get(key) if isinstance(doc, dict) else None
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2 or rows.dtype.kind not in "iu":
-            raise MalformedDocument("%r must be a 2-D integer array" % key)
-        if rows.dtype == np.uint64 and rows.size and rows.max() > _INT64.max:
-            raise TooLarge("%r has entries beyond 64-bit integers" % key)
-        return rows
-    rows = document_field(doc, key, list)
-    if not {list} >= set(map(type, rows)):
-        raise MalformedDocument("%r must be a list of lists of integers" % key)
-    return rows
+def integer_rows(key, rows, ragged=None, shape="a list of lists of integers"):
+    """rows as a 2-D integer array.
 
-
-def check_integers(key, rows, shape="a list of lists of integers"):
-    """Raise MalformedDocument unless rows, an array or a list of lists, holds
-    ints or numpy integers (a bool is neither), and TooLarge for one beyond int64."""
-    entries = itertools.chain.from_iterable
+    An integer array of two dimensions is returned as it is, and a list of
+    equal-length lists or tuples of ints or numpy integers (a bool is
+    neither) as one int64 array.  For rows of unequal lengths, ragged(sizes),
+    if given, raises the caller's error on their sorted distinct lengths.  An
+    entry beyond int64 raises TooLarge, and anything else MalformedDocument,
+    which says that a list must be shape.
+    """
     if isinstance(rows, np.ndarray):
         if rows.dtype.kind not in "iu":
             raise MalformedDocument("%r must hold integers, not %s" % (key, rows.dtype))
-    elif not all(t is int or issubclass(t, np.integer) for t in set(map(type, entries(rows)))):
-        raise MalformedDocument("%r must be %s" % (key, shape))
-    elif min(entries(rows), default=0) < _INT64.min or max(entries(rows), default=0) > _INT64.max:
-        raise TooLarge("%r has entries beyond 64-bit integers" % key)
+        if rows.ndim != 2:
+            raise MalformedDocument("%r must be a 2-D integer array" % key)
+        return rows
+    malformed = MalformedDocument("%r must be %s" % (key, shape))
+    if not (isinstance(rows, list) and {list, tuple} >= set(map(type, rows)) and all(
+            t is int or issubclass(t, np.integer)
+            for t in set(map(type, itertools.chain.from_iterable(rows))))):
+        raise malformed
+    sizes = sorted(set(map(len, rows)))
+    if len(sizes) > 1:
+        if ragged:
+            ragged(sizes)
+        raise malformed
+    try:
+        return np.array(rows, np.int64).reshape(len(rows), sizes[0] if sizes else 0)
+    except OverflowError:
+        raise TooLarge("%r has entries beyond 64-bit integers" % key) from None
+
+
+def _unequal_block_sizes(sizes):
+    raise UnequalBlockSizes("block sizes %s" % sizes)
 
 
 class Design:
@@ -70,12 +75,7 @@ class Design:
     """
 
     def __init__(self, v, blocks, points=None):
-        check_integers("blocks", blocks)
-        if not isinstance(blocks, np.ndarray):
-            sizes = sorted({len(b) for b in blocks})
-            if len(sizes) > 1:
-                raise UnequalBlockSizes("block sizes %s" % sizes)
-            blocks = np.array(blocks, dtype=np.int64).reshape(len(blocks), sizes[0] if sizes else 0)
+        blocks = integer_rows("blocks", blocks, _unequal_block_sizes)
         if blocks.size and (blocks.min() < 0 or blocks.max() >= v):
             raise NotTwoDesign("block index out of range")
         blocks = np.sort(blocks, axis=1).astype(np.int64, copy=False)
@@ -109,10 +109,10 @@ class Design:
     def from_dict(cls, d):
         """Read a design; a document that claims k (and lambda) is
         validated, and the claims must match what its blocks give."""
-        v, blocks, points = document_field(d, "v", int), document_rows(d, "blocks"), d.get("points")
+        v, points = document_field(d, "v", int), d.get("points")
         if points is not None and not (isinstance(points, list) and len(points) == v):
             raise MalformedDocument("'points' must be a list of v = %d labels" % v)
-        design = cls(v, blocks, points)
+        design = cls(v, d.get("blocks"), points)
         if "k" in d:
             design = validate_2design(design)
             claimed = (d["k"], d.get("lambda", design.lam))
@@ -215,7 +215,7 @@ class DifferenceSet:
         if v < 2:
             raise MalformedDocument("a difference-set document needs v >= 2")
         elems = document_field(d, "set", list)
-        check_integers("set", [elems], "a list of integers")
+        integer_rows("set", [elems], shape="a list of integers")
         return validate_difference_set(v, elems)
 
     def __repr__(self):

@@ -366,6 +366,27 @@ def test_embedding_reduces_uint64_entries_beyond_int64_exactly():
     assert image.ravel().tolist() == big
 
 
+def test_embedding_from_dict_reduces_uint64_entries_beyond_int64_exactly():
+    big = [2 ** 64 - 1, 2 ** 63, 7]
+    image = np.array([[x] for x in big], np.uint64)
+    doc = {"group": {"m": 5, "t": 1}, "kind": "test", "image": image}
+    assert Embedding.from_dict(doc).image.ravel().tolist() == [x % 5 for x in big]
+    assert image.ravel().tolist() == big
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
+def test_embedding_reduces_a_copy_of_the_callers_array(dtype):
+    image = np.array([[7], [3], [12]], dtype)
+    assert Embedding(AbelianGroup(5, 1), image, "test").image.ravel().tolist() == [2, 3, 2]
+    assert image.ravel().tolist() == [7, 3, 12]
+
+
+def test_embedding_refuses_ragged_rows():
+    # numpy's ValueError (inhomogeneous shape) escaped
+    with pytest.raises(GroupMismatch, match="expected rank-2 vectors"):
+        Embedding(AbelianGroup(5, 2), [[0, 1], [1]], "t")
+
+
 def test_embedding_of_a_list_beyond_int64_is_too_large():
     for entry in (2 ** 63, 2 ** 64 - 1, -2 ** 63 - 1):
         with pytest.raises(TooLarge, match="'image' has entries beyond 64-bit integers"):

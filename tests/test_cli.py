@@ -761,6 +761,30 @@ def test_a_foreign_flag_is_a_usage_error(capsys, argv, foreign):
     assert rc == 2 and foreign in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "ag", "--n", "2", "--q", "3", "--d", "1", "--poly", "1,1"],
+    ["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--poly", "1,1,1"],
+    ["embed", "pg", "x.json", "--n", "2", "--q", "2", "--d", "1"],
+    ["info", "a.json", "b.json"],
+], ids=["ag-poly", "pg-poly-without-cyclic", "embed-pg-input", "info-two-files"])
+def test_a_foreign_flag_is_reported_with_the_leafs_usage(capsys, argv):
+    # the root's usage, "usage: addesigns [-h] {gen,embed,verify,info} ...", named no flag
+    rc, err = _usage_error(capsys, argv)
+    leaf = " ".join(argv[:1 if argv[0] == "info" else 2])
+    assert rc == 2 and err.startswith("usage: addesigns %s [-h]" % leaf)
+    assert "addesigns %s: error: " % leaf in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "dev", "--v", "7", "--set", "a"], "--set"),
+    (["gen", "singer", "--n", "2", "--q", "2", "--poly", "1,x,1"], "--poly"),
+], ids=["set", "poly"])
+def test_a_malformed_integer_list_says_what_it_must_be(capsys, argv, flag):
+    # argparse named the parsing function: "invalid _parse_ints value: 'a'"
+    rc, err = _usage_error(capsys, argv)
+    assert rc == 2 and "argument %s: not comma-separated integers: %r\n" % (flag, argv[-1]) in err
+
+
 @pytest.mark.parametrize("leaf", LEAVES)
 def test_each_leaf_has_help_and_exactly_its_flags(capsys, leaf):
     with pytest.raises(SystemExit) as exc:

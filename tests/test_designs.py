@@ -81,6 +81,25 @@ def test_design_takes_rows_of_numpy_integers():
     assert Design(3, rows).blocks.tolist() == [[0, 1, 2]]
 
 
+@pytest.mark.parametrize("blocks, message", [
+    (np.array([0, 1]), "'blocks' must be a 2-D integer array"),
+    (np.zeros((2, 2, 2), int), "'blocks' must be a 2-D integer array"),
+    ([0, 1], "'blocks' must be a list of lists of integers"),
+], ids=["1-D-array", "3-D-array", "flat-list"])
+def test_design_refuses_blocks_that_are_not_rows(blocks, message):
+    # they raised numpy's AxisError, a misleading NotTwoDesign and a TypeError
+    with pytest.raises(MalformedDocument, match=message):
+        Design(3, blocks)
+
+
+def test_design_from_dict_of_uint64_beyond_int64_is_out_of_range():
+    # a uint64 array of a dict is read as it is, as the constructor reads it
+    blocks = np.array([[0, 2 ** 63]], np.uint64)
+    for read in (lambda: Design(3, blocks), lambda: Design.from_dict({"v": 3, "blocks": blocks})):
+        with pytest.raises(NotTwoDesign, match="block index out of range"):
+            read()
+
+
 def test_validate_rejects_empty():
     with pytest.raises(EmptyDesign):
         validate_2design(Design(4, []))

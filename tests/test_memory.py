@@ -73,6 +73,16 @@ def test_reading_the_pg441_embedding_peaks_below_1_2_mib():
     assert embs[0].image.tolist() == doc["image"]
 
 
+def test_reading_an_unreduced_list_image_peaks_below_1_2_mib():
+    # 1.78 MiB when the list was copied to int64 and that array cast to a
+    # second 64-bit array before it was reduced
+    emb = pg_strong_embedding(4, 4, 1)
+    image = (emb.image.astype(np.int64) - 1).tolist()
+    embs = []
+    assert peak_bytes(lambda: embs.append(Embedding(emb.group, image, "test"))) < 1.2 * MiB
+    assert embs[0].image.tolist() == np.mod(image, emb.group.m).tolist()
+
+
 def test_reading_the_pg441_design_peaks_below_1_mib(tmp_path):
     # 1.51 MiB when json.load made every block a list of Python ints, which
     # from_dict checked and copied to int64

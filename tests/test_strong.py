@@ -322,9 +322,20 @@ def test_verify_strong_logs_one_debug_line(caplog):
     assert len(msg) == 1 and msg[0].startswith("verify_strong v=40 k=4 split=2 estimate=1406 ")
     stats = _strong_log(caplog)
     assert stats["kept"] == stats["streamed"] == math.comb(38, 2)
-    assert stats["false_positives"] == 0  # 3^40 > 2^64, but no projected key collides
+    assert stats["false_positives"] == 0  # 3^40 < 2^64: the keys are the residues, not projected
     assert stats["equal_key_pairs"] >= stats["zero_sum"] == report.zero_sum_subsets == 130
     assert stats["seconds"] >= 0
+
+
+def test_verify_strong_of_a_projected_group_matches_the_reference(caplog):
+    # 5^28 > 2^64: the keys of Z_5^31 are projected to s = 27 coordinates
+    design = geometry.pg_design(2, 5, 1)
+    emb = symmetric_strong_embedding(design)
+    assert (emb.group.m, emb.group.t) == (5, 31) and additivity._key_coordinates(5, 31) == 27
+    with caplog.at_level(logging.DEBUG, logger="addesigns"):
+        report = verify_strong(design, emb)
+    assert _strong_log(caplog)["false_positives"] == 0
+    assert report.to_dict() == reference_verify_strong(design, emb).to_dict()
 
 
 def test_verify_strong_writes_nothing_without_a_handler(capsys):
