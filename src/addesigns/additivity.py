@@ -3,7 +3,6 @@ for additivity (all blocks zero-sum) and strong additivity (the zero-sum
 k-subsets of the embedded point set are exactly the blocks).
 """
 
-import logging
 import math
 import time
 
@@ -27,8 +26,6 @@ from .geometry import bracket, subspace_blocks
 
 DEFAULT_STRONG_CAP = 10 ** 8  # estimated work (_strong_split): about a minute
 _STRONG_KEEP = 1 << 21  # subsets the kept half of the strong check may hold
-
-_logger = logging.getLogger("addesigns")
 
 
 class AbelianGroup:
@@ -515,7 +512,7 @@ def verify_strong(design, emb, cap=DEFAULT_STRONG_CAP):
     found = sum(len(sets) for sets in _zero_sum_sets(emb.image, m, k, a, stats))
     base.strong = "pass" if base.additive and found == distinct else "fail"
     base.zero_sum_subsets = found
-    _logger.debug(
+    gf.log_debug(
         "verify_strong v=%d k=%d split=%d estimate=%d kept=%d streamed=%d "
         "equal_key_pairs=%d false_positives=%d zero_sum=%d seconds=%.6f",
         design.v, k, a, work, stats["kept"], stats["streamed"], stats["pairs"],

@@ -20,15 +20,27 @@ from .designs import Design, validate_2design
 from .errors import DimensionOutOfRange, InvariantViolated
 
 
+def _refuse_non_prime_power(q):
+    """Raise NotPrime if q is not a prime power.  A q beyond
+    gf.MAX_FIELD_ORDER is left to the size refusals, since no field of
+    that order is built and factoring a large prime q takes minutes."""
+    if q <= gf.MAX_FIELD_ORDER:
+        gf.prime_power(q)
+
+
 def bracket(n, q):
-    """(q^n - 1)/(q - 1): the number of points of PG(n-1,q)."""
+    """(q^n - 1)/(q - 1): the number of points of PG(n-1,q), q a prime
+    power (NotPrime otherwise)."""
+    _refuse_non_prime_power(q)
     if n < 0:
         raise DimensionOutOfRange("negative dimension")
     return (q ** n - 1) // (q - 1)
 
 
 def gaussian(n, k, q):
-    """Gaussian binomial: the number of k-dim linear subspaces of F_q^n."""
+    """Gaussian binomial: the number of k-dim linear subspaces of F_q^n, q
+    a prime power (NotPrime otherwise)."""
+    _refuse_non_prime_power(q)
     if not 0 <= k <= n:
         return 0
     num = den = 1

@@ -11,8 +11,8 @@ digits mod p, which is XOR for p = 2.
 """
 
 import itertools
-import logging
 import math
+import sys
 import time
 
 import numpy as np
@@ -23,7 +23,14 @@ from .errors import FieldTooLarge, NotCoprime, NotPrime, NotPrimitivePolynomial
 # Table-backed construction is refused beyond this order.
 MAX_FIELD_ORDER = 2 ** 20
 
-_logger = logging.getLogger("addesigns")
+
+def log_debug(msg, *args):
+    """Log msg % args at DEBUG level on the "addesigns" logger, for the
+    caller, if this process has imported logging.  Without it no handler
+    can exist, so the record would reach no one; the CLI never imports it."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("addesigns").debug(msg, *args, stacklevel=2)
 
 
 def is_prime(m):
@@ -227,7 +234,7 @@ def make_field(p, n, poly=None):
                 break
     searched = time.perf_counter()
     field = FieldSpec(p, n, poly)
-    _logger.debug(
+    log_debug(
         "make_field p=%d n=%d candidates=%d poly=%s search_s=%.6f table_s=%.6f",
         p, n, tried, ",".join(map(str, poly)),
         searched - start, time.perf_counter() - searched,

@@ -25,6 +25,14 @@ def run(tmp_path, *argv):
     return main(list(argv))
 
 
+def python(*args, timeout=60):
+    """Run a fresh interpreter with this checkout's src/ first on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
 def read(path):
     return json.loads(path.read_text())
 
@@ -234,18 +242,44 @@ def test_verify_strong_modulus_2_62_runs_the_check(tmp_path, capsys):
     assert read(report)["strong"] == "pass" and read(report)["zero_sum_subsets"] == 7
 
 
+MERSENNE_61 = str(2 ** 61 - 1)  # a prime = 3 (mod 4): trial division takes minutes
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "pg", "--n", "12", "--q", "2", "--d", "6"],
     ["gen", "pg", "--n", "12", "--q", "2", "--d", "6", "--points", "cyclic"],
     ["gen", "ag", "--n", "12", "--q", "2", "--d", "6"],
-], ids=["pg", "pg-cyclic", "ag"])
+    ["gen", "pg", "--n", "2", "--q", MERSENNE_61, "--d", "1"],
+], ids=["pg", "pg-cyclic", "ag", "pg-q-2^61"])
 def test_oversized_subspace_design_exits_2(capsys, argv):
-    # about 10^13 blocks: refused before any allocation
+    # about 10^13 blocks, or 2^122 lines of PG(2,q): refused before any
+    # allocation, and before q is factored
+    start = time.perf_counter()
     rc, err = _exit_and_error(capsys, argv)
     assert rc == 2 and err.startswith("error: ") and "bytes of memory" in err
+    assert time.perf_counter() - start < 5
 
 
-MERSENNE_61 = str(2 ** 61 - 1)  # a prime = 3 (mod 4): trial division takes minutes
+@pytest.mark.parametrize("argv", [
+    ["embed", "subspace", "{design}", "--q", "0"],
+    ["embed", "subspace", "{design}", "--q", "-1"],
+    ["embed", "subspace", "{design}", "--q", "1"],
+    ["embed", "subspace", "{design}", "--q", "6"],
+    ["gen", "pg", "--n", "2", "--q", "1", "--d", "1"],
+    ["gen", "ag", "--n", "2", "--q", "1", "--d", "1"],
+    ["embed", "pg", "--n", "2", "--q", "1", "--d", "1"],
+    ["gen", "pg", "--n", "2", "--q", "-3", "--d", "1"],
+    ["embed", "pg", "--n", "2", "--q", "-2", "--d", "1"],
+], ids=["subspace-q0", "subspace-q-1", "subspace-q1", "subspace-q6", "gen-pg-q1", "gen-ag-q1",
+        "embed-pg-q1", "gen-pg-q-3", "embed-pg-q-2"])
+def test_a_q_that_is_not_a_prime_power_is_not_prime(tmp_path, argv):
+    # a fresh process with a time limit: a q <= 1 once looped forever in
+    # the search for m with [m]_q = v
+    design = tmp_path / "pg.json"  # PG_1(2,3), v = 13
+    assert main(["gen", "pg", "--n", "2", "--q", "3", "--d", "1", "--points", "cyclic",
+                 "--out", str(design)]) == 0
+    done = python("-m", "addesigns.cli", *[a.format(design=design) for a in argv])
+    assert done.returncode == 1 and done.stderr.startswith("NotPrime: "), done.stderr
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -290,14 +324,55 @@ def test_trace_stage_counts_the_scalar_field_calls(tmp_path, argv):
     # perfbench/trace_stage.py wraps FieldSpec.add_code and mul_code for
     # --trace 1; the constructions themselves make no scalar call
     spans = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "trace_stage.py"), str(spans), "--"]
-        + argv + ["--out", str(tmp_path / "out.json")],
-        env=env, capture_output=True, text=True, timeout=120)
+    done = python(str(ROOT / "perfbench" / "trace_stage.py"), str(spans), "--",
+                  *argv, "--out", str(tmp_path / "out.json"), timeout=120)
     assert done.returncode == 0, done.stderr
     assert read(spans)["counts"] == {"gf.add_code.calls": 0, "gf.mul_code.calls": 0}
+
+
+def test_no_verb_imports_logging(tmp_path):
+    # the two DEBUG records go through logging only where the caller has
+    # imported it, so a CLI process never pays for its import
+    script = """
+import os, sys
+from addesigns.cli import main
+os.chdir(sys.argv[1])
+for argv in (
+    ["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--out", "pg.json"],
+    ["gen", "singer", "--n", "2", "--q", "2", "--out", "dev.json"],
+    ["gen", "singer", "--n", "2", "--q", "2", "--format", "diffset", "--out", "ds.json"],
+    ["embed", "cyclic", "ds.json", "--p", "2", "--out", "emb.json"],
+    ["verify", "dev.json", "emb.json", "--strong", "--out", "report.json"],
+    ["info", "emb.json"],
+):
+    assert main(argv) == 0, argv
+print("logging" in sys.modules)
+"""
+    done = python("-c", script, str(tmp_path))
+    assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "False"), done.stderr
+
+
+def test_logging_imported_after_the_package_gets_both_debug_records():
+    script = """
+from addesigns import additivity, geometry
+import logging
+records = []
+handler = logging.Handler()
+handler.emit = records.append
+logger = logging.getLogger("addesigns")
+logger.addHandler(handler)
+logger.setLevel(logging.DEBUG)
+design = geometry.pg_design(2, 2, 1)
+additivity.verify_strong(design, additivity.symmetric_strong_embedding(design))
+for r in records:
+    print(r.name, r.levelname, r.funcName, r.getMessage())
+"""
+    done = python("-c", script)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("addesigns DEBUG make_field make_field p=2 n=1 candidates=")
+    assert lines[1].startswith("addesigns DEBUG verify_strong verify_strong v=7 k=3 ")
 
 
 def test_info(tmp_path, capsys):
