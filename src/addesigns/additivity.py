@@ -211,7 +211,7 @@ def cyclic_embedding(ds, p, poly=None):
     t = gf.mult_order(p, v)
     field = gf.make_field(p, t, poly)
     e = (field.q - 1) // v
-    powers = gf.digits(field._exp[::e], t, p)  # row x: g^x for g = r^e
+    powers = gf.digits(field.powers(v, e), t, p)  # row x: g^x for g = r^e
     elems = np.array(ds.elems)
     sigma = {sign: powers[sign * elems % v].sum(axis=0) % p for sign in (1, -1)}
     if not sigma[1].any():
@@ -259,7 +259,7 @@ def subspace_embedding(m, q, design, poly=None):
     v = bracket(m, q)
     if design.v != v:
         raise SizeMismatch("design has %d points, GF(%d^%d) classes: %d" % (design.v, q, m, v))
-    image = gf.digits(field._exp[::q - 1], alpha * m, p)  # row i: omega^(i(q-1))
+    image = gf.digits(field.powers(v, q - 1), alpha * m, p)  # row i: omega^(i(q-1))
     emb = _injective(Embedding(AbelianGroup(p, alpha * m), image, "subspace-smooth",
                                {"q": q, "m": m, "poly": list(field.prim_poly)}))
     bad = next(_nonzero_block_sums(emb.image, design.blocks, p), None)

@@ -62,6 +62,13 @@ def integer_rows(key, rows, ragged=None, shape="a list of lists of integers"):
         raise TooLarge("%r has entries beyond 64-bit integers" % key) from None
 
 
+def _point_dtype(v):
+    """The narrowest integer dtype of the point indices below v, as
+    cli._load decodes them: unsigned below 2^32, else int64."""
+    dtype = np.min_scalar_type(max(v - 1, 0))
+    return dtype if dtype.itemsize < 8 else np.dtype(np.int64)
+
+
 def _unequal_block_sizes(sizes):
     raise UnequalBlockSizes("block sizes %s" % sizes)
 
@@ -69,16 +76,17 @@ def _unequal_block_sizes(sizes):
 class Design:
     """A finite incidence structure on v points.
 
-    blocks is a (b x k) int64 array, each row sorted.  params (k, lam, r,
-    b, symmetric) are attached by validate_2design; until then they are
-    None.
+    blocks is a (b x k) array of the point indices, each row sorted, in
+    _point_dtype(v).  params (k, lam, r, b, symmetric) are attached by
+    validate_2design; until then they are None.
     """
 
     def __init__(self, v, blocks, points=None):
         blocks = integer_rows("blocks", blocks, _unequal_block_sizes)
         if blocks.size and (blocks.min() < 0 or blocks.max() >= v):
             raise NotTwoDesign("block index out of range")
-        blocks = np.sort(blocks, axis=1).astype(np.int64, copy=False)
+        blocks = blocks.astype(_point_dtype(v))  # a copy the sort may reorder
+        blocks.sort(axis=1)
         if (blocks[:, 1:] == blocks[:, :-1]).any():
             raise NotTwoDesign("repeated point inside a block")
         self.v = v
@@ -143,22 +151,23 @@ def _pair_counts(blocks, replication):
 
     The blocks through each point are found by a stable sort of the
     incidences, which numpy radix-sorts on 8- and 16-bit point indices.  A
-    point of a range takes 8 bytes for each of its v int64 pair counts,
-    for each of its r k incidences (the int64 point gathered) and for each
-    of its r blocks (the offset of its counts), and the ranges are sized
-    by that.
+    point of a range takes 8 bytes for each of its v int64 pair counts and
+    for each of its r blocks (the offset of its counts), and 8 bytes and
+    the point's own width for each of its r k incidences (the point
+    gathered and its int64 code), and the ranges are sized by that.
     """
     k = blocks.shape[1]
     v = len(replication)
-    by_point = np.argsort(blocks.ravel().astype(np.min_scalar_type(v - 1)), kind="stable")
+    by_point = np.argsort(blocks.ravel().astype(_point_dtype(v), copy=False), kind="stable")
     by_point //= k
     ends = np.cumsum(replication)
-    step = chunks.rows_per_chunk(8 * (v + int(replication.max()) * (k + 1)))
+    r = int(replication.max())
+    step = chunks.rows_per_chunk(8 * (v + r) + (8 + blocks.itemsize) * r * k)
     for x0 in range(0, v, step):
         x1 = min(v, x0 + step)
         lo, hi = ends[x0] - replication[x0], ends[x1 - 1]
-        codes = blocks.take(by_point[lo:hi], axis=0)
-        codes += np.repeat(np.arange(0, (x1 - x0) * v, v), replication[x0:x1])[:, None]
+        codes = np.repeat(np.arange(0, (x1 - x0) * v, v), replication[x0:x1])[:, None] \
+            + blocks.take(by_point[lo:hi], axis=0)
         counts = np.bincount(codes.ravel(), minlength=(x1 - x0) * v).reshape(x1 - x0, v)
         counts.reshape(-1)[x0::v + 1] = counts.min()  # (x, x) for x0 <= x < x1
         yield counts
@@ -268,12 +277,16 @@ def validate_difference_set(v, elems):
 
 def develop(ds):
     """The symmetric design (Z_v, {D+i : 0 <= i < v}) of a certified set."""
-    # the blocks, their sorted copy and the incidence sort of their
-    # validation take about 32 bytes per entry (tracemalloc peak of the
-    # Paley(2003) development: 64 MB)
-    chunks.refuse_beyond_memory("the development of %r" % ds, ds.v, "blocks", 32 * ds.k)
-    blocks = (np.array(ds.elems) + np.arange(ds.v)[:, None]) % ds.v
-    return validate_2design(Design(ds.v, blocks))
+    # the narrow blocks, their sorted copy and the int64 incidence sort of
+    # their validation take about 20 bytes per entry (tracemalloc peak of
+    # the Paley(2003) development: 38.4 MB)
+    chunks.refuse_beyond_memory("the development of %r" % ds, ds.v, "blocks", 20 * ds.k)
+    sums = np.min_scalar_type(2 * ds.v - 2)  # d + i, 0 <= d, i < v
+    blocks = np.add.outer(np.arange(ds.v, dtype=sums), np.array(ds.elems, sums))
+    blocks %= ds.v
+    design = Design(ds.v, blocks)
+    del blocks  # validation needs only the design's sorted copy
+    return validate_2design(design)
 
 
 def paley_diffset(v):
@@ -304,16 +317,8 @@ def singer_diffset(n, q, poly=None):
     gf.refuse_beyond_cap(q, n + 1)
     p, alpha = gf.prime_power(q)
     field = gf.make_field(p, alpha * (n + 1), poly)
-    big = field.q - 1
     v = (q ** (n + 1) - 1) // (q - 1)
-    elems = []
-    # a row i takes n + 1 exponents i q^j, their codes and two digit temporaries
-    step = chunks.rows_per_chunk(32 * (n + 1))
-    for lo in range(0, v, step):
-        i = np.arange(lo, min(v, lo + step))
-        trace = field.sum_codes(field._exp[i[:, None] * q ** np.arange(n + 1) % big])
-        elems += i[trace == 0].tolist()
-    ds = validate_difference_set(v, elems)
+    ds = validate_difference_set(v, _zero_trace_exponents(field, q, n + 1))
     expected = ((q ** n - 1) // (q - 1), (q ** (n - 1) - 1) // (q - 1))
     if (ds.k, ds.lam) != expected:
         raise NotDifferenceSet(
@@ -321,3 +326,36 @@ def singer_diffset(n, q, poly=None):
             % ((n, q, ds.k, ds.lam) + expected)
         )
     return ds
+
+
+def _zero_trace_exponents(field, q, degree):
+    """The i < v = (q^degree - 1)/(q - 1), ascending, at which the root r
+    of the field GF(q^degree) has Trace(r^i) = 0 over GF(q).
+
+    The trace is F_p-linear: gf.digits(c) @ T % p holds the coefficients
+    of Trace(c) when row j of T, from the last, is Trace(x^j), the sum of
+    x^(j q^l) mod f over l < degree."""
+    p, t = field.p, field.n
+    poly = [c % p for c in reversed(field.prim_poly[1:])]
+    trace = np.zeros((t, t), dtype=np.int64)
+    for l in range(degree):
+        frobenius = gf._x_power(q ** l, poly, p)  # x^(q^l)
+        term = [1] + [0] * (t - 1)  # x^0, which _x_power does not take
+        for j in range(t):
+            trace[t - 1 - j] += term
+            term = gf._mulmod(term, frobenius, poly, p)
+    # digits(c) @ T is the sum of the terms of the h low and the t - h high
+    # digits of c, so Trace(c) = 0 iff the trace of the low part is minus
+    # that of the high part: two tables of codes, of p^h and p^(t-h) parts
+    h, weights = t // 2, p ** np.arange(t, dtype=np.int64)
+    low_trace = gf.digits(np.arange(p ** h), h, p) @ trace[t - h:] % p @ weights
+    high_trace = -(gf.digits(np.arange(p ** (t - h)), t - h, p) @ trace[:t - h]) % p @ weights
+    codes = field.powers((field.q - 1) // (q - 1))
+    elems = []
+    # a row takes the quotient and remainder of its code, their two table
+    # codes and a bool
+    step = chunks.rows_per_chunk(33)
+    for lo in range(0, len(codes), step):
+        high, low = np.divmod(codes[lo:lo + step], p ** h)
+        elems += (lo + np.flatnonzero(low_trace[low] == high_trace[high])).tolist()
+    return elems

@@ -1,15 +1,19 @@
-"""Exact finite-field arithmetic GF(p^n) as two precomputed tables.
+"""Exact finite-field arithmetic GF(p^n) from the powers of a root.
 
 An element is its integer code sum(c_j * p^j), c_j the coefficient of
 x^j of its polynomial in the root r of a primitive polynomial; `digits`
 turns codes into coefficient rows, highest degree first.
 
 Primitivity is decided by the order test on x (Lidl & Niederreiter,
-Finite Fields, Thm 3.16 ff.).  A field keeps two read-only int64 arrays,
-the exp and log tables; `sum_codes` adds codes by adding their base-p
-digits mod p, which is XOR for p = 2.
+Finite Fields, Thm 3.16 ff.).  `FieldSpec.powers` gives the codes of
+r^(step i) for i < count by a doubling recurrence, so a caller that needs
+v powers of an element of order v reads v codes, not q - 1.  The exp and
+log tables, two read-only int64 arrays, are built on first read;
+`sum_codes` adds codes by adding their base-p digits mod p, which is XOR
+for p = 2.
 """
 
+import functools
 import itertools
 import math
 import sys
@@ -38,52 +42,63 @@ def is_prime(m):
 
 
 class FieldSpec:
-    """GF(p^n) defined by a primitive polynomial, held as its read-only
-    int64 exp/log tables."""
+    """GF(p^n) defined by a primitive polynomial.  `powers` reads powers
+    of its root r; the int64 exp/log tables are built, read-only, on
+    first read."""
 
     def __init__(self, p, n, prim_poly):
         self.p = p
         self.n = n
         self.q = p ** n
         self.prim_poly = tuple(prim_poly)  # high-to-low, length n+1
-        self._build_tables()
+        # GF(2) is degenerate: its one power is 1 and the root is unused
+        fault = self.q > 2 and _order_fault(p, n, self.prim_poly, _prime_factors(self.q - 1))
+        if fault:
+            raise NotPrimitivePolynomial(fault % (self.describe(), self.q - 1))
 
-    def _build_tables(self):
-        """Fill _exp (code of r^i) and _log (its inverse; _log[0] is unused).
+    def powers(self, count, step=1):
+        """The codes of r^(step i) for 0 <= i < count, as an int64 array.
 
         The powers [f, 2f) are the digit rows of the powers [0, f) times
-        the matrix of multiplication by r^f, which is squared each round.
-        A row of a product holds n int64 digits at most three times over.
+        the matrix of multiplication by r^(step f), which is squared each
+        round.  A row of a product holds n int64 digits at most three
+        times over.
         """
-        p, n, q = self.p, self.n, self.q
+        p, n = self.p, self.n
         weights = p ** np.arange(n, dtype=np.int64)
         xmat = np.eye(n, k=1, dtype=np.int64)  # row j: x^(j+1) mod prim_poly
         xmat[n - 1] = [-c % p for c in reversed(self.prim_poly[1:])]
-        exp = np.empty(q - 1, dtype=np.int64)
-        exp[0] = 1
+        mat = np.eye(n, dtype=np.int64)  # multiplication by r^step
+        for bit in bin(step)[2:]:
+            mat = mat @ mat % p
+            if bit == "1":
+                mat = mat @ xmat % p
+        out = np.empty(count, dtype=np.int64)
+        out[:1] = 1
         rows = chunks.rows_per_chunk(24 * n)
-        step, f = xmat, 1
-        while f < q - 1:
-            for lo in range(0, min(f, q - 1 - f), rows):
-                hi = min(f, q - 1 - f, lo + rows)
-                digits = exp[lo:hi, None] // weights % p
-                exp[f + lo:f + hi] = digits @ step % p @ weights
-            step, f = step @ step % p, 2 * f
-        # after q-1 multiplications by the root we must be back at 1
-        if q > 2 and (exp[-1] // weights % p) @ xmat % p @ weights != 1:
-            raise NotPrimitivePolynomial(
-                "root of %s does not have order %d" % (self.describe(), q - 1)
-            )
-        exponents = np.arange(q - 1)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = exponents
-        # a repeated code keeps only its last exponent, so log fails to invert exp
-        if not np.array_equal(log[exp], exponents):
-            raise NotPrimitivePolynomial(
-                "root powers of %s repeat before order %d" % (self.describe(), q - 1)
-            )
-        exp.flags.writeable = log.flags.writeable = False
-        self._exp, self._log = exp, log
+        f = 1
+        while f < count:
+            for lo in range(0, min(f, count - f), rows):
+                hi = min(f, count - f, lo + rows)
+                digits = out[lo:hi, None] // weights % p
+                out[f + lo:f + hi] = digits @ mat % p @ weights
+            mat, f = mat @ mat % p, 2 * f
+        return out
+
+    @functools.cached_property
+    def _exp(self):
+        """The code of r^i at i, 0 <= i < q - 1."""
+        exp = self.powers(self.q - 1)
+        exp.flags.writeable = False
+        return exp
+
+    @functools.cached_property
+    def _log(self):
+        """The inverse of _exp; _log[0] is unused."""
+        log = np.zeros(self.q, dtype=np.int64)
+        log[self._exp] = np.arange(self.q - 1)
+        log.flags.writeable = False
+        return log
 
     # -- code-level arithmetic ------------------------------------------
 
@@ -182,25 +197,30 @@ def _x_power(e, low, p):
     return out
 
 
-def _is_primitive(p, n, poly, factors):
-    """Whether x has order q - 1 modulo poly, i.e. x^(q-1) = 1 and
+def _order_fault(p, n, poly, factors):
+    """None if x has order q - 1 modulo poly, q = p^n > 2: x^(q-1) = 1 and
     x^((q-1)/r) != 1 for every prime r in `factors`, the prime factors of
-    q - 1.
+    q - 1.  Otherwise the message of the check that fails, to be filled
+    with the field and q - 1.
 
     If poly is reducible the unit group of Z_p[x]/(poly) is strictly
     smaller than q - 1, so this test also certifies irreducibility.
     """
     q = p ** n
-    if q == 2:
-        # GF(2) is degenerate: the table is just {1} and the root is unused.
-        return True
     low = [c % p for c in reversed(poly[1:])]
-    if low[0] == 0:  # x divides poly, so x is not a unit
-        return False
     one = [1] + [0] * (n - 1)
-    if _x_power(q - 1, low, p) != one:
-        return False
-    return all(_x_power((q - 1) // r, low, p) != one for r in factors)
+    # if x divides poly, x is not a unit
+    if low[0] == 0 or _x_power(q - 1, low, p) != one:
+        return "root of %s does not have order %d"
+    if any(_x_power((q - 1) // r, low, p) == one for r in factors):
+        return "root powers of %s repeat before order %d"
+    return None
+
+
+def _is_primitive(p, n, poly, factors):
+    """Whether x has order q - 1 modulo poly (see _order_fault).  In GF(2)
+    the one power is 1 and the root is unused, so any poly will do."""
+    return p ** n == 2 or _order_fault(p, n, poly, factors) is None
 
 
 def make_field(p, n, poly=None):
@@ -209,8 +229,9 @@ def make_field(p, n, poly=None):
     If poly is omitted, the lexicographically smallest primitive polynomial
     (coefficients compared low-degree-first) is found by search.  A supplied
     poly must be monic of degree n and is checked for primitivity.  Logs
-    the candidates tried and the search and table times at DEBUG level on
-    the "addesigns" logger.
+    the candidates tried, the search time and, as table_s, the time of
+    constructing the FieldSpec, at DEBUG level on the "addesigns" logger.
+    The exp and log tables are built on first read, not then.
     """
     if n < 1:
         raise NotPrimitivePolynomial("extension degree must be >= 1")

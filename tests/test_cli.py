@@ -330,26 +330,47 @@ def test_trace_stage_counts_the_scalar_field_calls(tmp_path, argv):
     assert read(spans)["counts"] == {"gf.add_code.calls": 0, "gf.mul_code.calls": 0}
 
 
-def test_no_verb_imports_logging(tmp_path):
-    # the two DEBUG records go through logging only where the caller has
-    # imported it, so a CLI process never pays for its import
+# modules a stage never needs, each of which raises its peak RSS: logging
+# with traceback and string 0.4-0.5 MB, numpy.fft alone 0.38-0.53 MB
+UNLOADED = ("logging", "numpy.fft", "numpy.ma", "numpy.random", "numpy.polynomial")
+
+
+@pytest.fixture(scope="module")
+def loaded_by_every_verb(tmp_path_factory):
+    """Which of UNLOADED one process has loaded after running every verb."""
     script = """
-import os, sys
+import json, os, sys
 from addesigns.cli import main
 os.chdir(sys.argv[1])
 for argv in (
     ["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--out", "pg.json"],
+    ["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--points", "cyclic", "--out", "pgc.json"],
     ["gen", "singer", "--n", "2", "--q", "2", "--out", "dev.json"],
     ["gen", "singer", "--n", "2", "--q", "2", "--format", "diffset", "--out", "ds.json"],
+    ["gen", "paley", "--v", "7", "--out", "paley.json"],
     ["embed", "cyclic", "ds.json", "--p", "2", "--out", "emb.json"],
+    ["embed", "subspace", "pgc.json", "--q", "2", "--out", "sub.json"],
     ["verify", "dev.json", "emb.json", "--strong", "--out", "report.json"],
     ["info", "emb.json"],
 ):
     assert main(argv) == 0, argv
-print("logging" in sys.modules)
+print(json.dumps([name for name in sys.argv[2:] if name in sys.modules]))
 """
-    done = python("-c", script, str(tmp_path))
-    assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "False"), done.stderr
+    done = python("-c", script, str(tmp_path_factory.mktemp("verbs")), *UNLOADED)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_no_verb_imports_logging(loaded_by_every_verb):
+    # the two DEBUG records go through logging only where the caller has
+    # imported it, so a CLI process never pays for its import
+    assert "logging" not in loaded_by_every_verb
+
+
+def test_no_verb_loads_the_optional_numpy_submodules(loaded_by_every_verb):
+    # numpy loads these only on first use; an FFT difference count or a
+    # numpy.ma set routine would give back the peak RSS the stages saved
+    assert loaded_by_every_verb == []
 
 
 def test_logging_imported_after_the_package_gets_both_debug_records():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from addesigns import chunks, designs, geometry, gf
 from addesigns.designs import (
@@ -371,10 +372,105 @@ def test_validate_2design_matches_reference_on_pg_designs(n, q, d, monkeypatch):
     assert _outcome(validate_2design, raw) == _outcome(reference_validate_2design, raw)
 
 
+@settings(max_examples=200, deadline=None)
+@given(incidence_structures(), st.sampled_from([1, 500, 1 << 18]))
+def test_validate_2design_agrees_on_int64_and_narrow_blocks(design, budget):
+    wide = Design(design.v, design.blocks)
+    wide.blocks = design.blocks.astype(np.int64)
+    with mock.patch.object(chunks, "BUDGET", budget):
+        assert _outcome(validate_2design, wide) == _outcome(validate_2design, design)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: geometry.pg_design(2, 16, 1),  # v = 273: 16-bit points
+    lambda: develop(singer_diffset(2, 16)),
+    lambda: Design(300, [(0, 1, 299), (2, 3, 298)]),  # not a 2-design
+])
+def test_validate_2design_agrees_on_int64_and_narrow_designs(make):
+    narrow = make()
+    raw, wide = Design(narrow.v, narrow.blocks), Design(narrow.v, narrow.blocks)
+    wide.blocks = raw.blocks.astype(np.int64)
+    assert raw.blocks.dtype == np.uint16
+    assert _outcome(validate_2design, wide) == _outcome(validate_2design, raw)
+
+
+@pytest.mark.parametrize("v", [1, 2, 7, 256, 257, 65536, 65537])
+@pytest.mark.parametrize("kind", [list, np.int64, np.uint8])
+def test_design_blocks_are_as_narrow_as_the_points(v, kind):
+    rows = [[0, min(v - 1, 255)]] if v > 1 else [[0]]
+    blocks = rows if kind is list else np.array(rows, kind)
+    design = Design(v, blocks)
+    assert design.blocks.dtype == np.min_scalar_type(v - 1)
+    assert design.blocks.tolist() == rows
+
+
+def test_point_indices_beyond_32_bits_are_int64():
+    # as cli._load gives them; uint64 indices would not cast to bincount's intp
+    assert designs._point_dtype(2 ** 32) == np.uint32
+    assert designs._point_dtype(2 ** 32 + 1) == np.int64
+
+
+def test_design_sorts_a_copy_of_the_callers_blocks():
+    blocks = np.array([[2, 0, 1]], np.uint8)
+    assert Design(3, blocks).blocks.tolist() == [[0, 1, 2]]
+    assert blocks.tolist() == [[2, 0, 1]]
+
+
+@pytest.mark.parametrize("ds", [
+    lambda: singer_diffset(2, 3),   # v = 13
+    lambda: paley_diffset(263),     # v = 263, sums d + i up to 524
+    lambda: singer_diffset(2, 16),  # v = 273
+])
+def test_develop_builds_blocks_at_the_point_width(ds):
+    ds = ds()
+    design = develop(ds)
+    assert design.blocks.dtype == np.min_scalar_type(ds.v - 1)
+    want = np.sort((np.array(ds.elems) + np.arange(ds.v)[:, None]) % ds.v, axis=1)
+    assert design.blocks.tolist() == want.tolist()
+
+
 def test_validate_2design_singer32_parameters():
     d = develop(singer_diffset(2, 32))
     assert (d.v, d.k, d.lam, d.r, d.b) == (1057, 33, 1, 33, 1057)
     assert all(type(x) is int for x in (d.k, d.lam, d.r, d.b))
+
+
+# -- the Singer set from v powers and a trace matrix ---------------------
+
+
+def table_singer_exponents(field, q, n):
+    """The zero-trace exponents as the exp table gave them: the trace of r^i
+    as the sum of the codes of r^(i q^j), read from the table."""
+    big = field.q - 1
+    v = big // (q - 1)
+    elems = []
+    step = chunks.rows_per_chunk(32 * (n + 1))
+    for lo in range(0, v, step):
+        i = np.arange(lo, min(v, lo + step))
+        trace = field.sum_codes(field._exp[i[:, None] * q ** np.arange(n + 1) % big])
+        elems += i[trace == 0].tolist()
+    return elems
+
+
+def _prime_powers(top):
+    return [q for q in range(2, top + 1) if len(factorint(q)) == 1]
+
+
+# every Singer plane and space whose field is within the table cap: 98
+SINGER_WITHIN_CAP = [(n, q) for q in _prime_powers(101) for n in range(2, 20)
+                     if q ** (n + 1) <= gf.MAX_FIELD_ORDER]
+
+
+@pytest.mark.parametrize("n,q", SINGER_WITHIN_CAP)
+def test_singer_exponents_match_the_table_loop(n, q):
+    p, alpha = gf.prime_power(q)
+    field = gf.make_field(p, alpha * (n + 1))
+    assert designs._zero_trace_exponents(field, q, n + 1) == table_singer_exponents(field, q, n)
+
+
+def test_singer_cases_reach_the_cap():
+    assert len(SINGER_WITHIN_CAP) == 98
+    assert {q ** (n + 1) for n, q in SINGER_WITHIN_CAP} >= {2 ** 20, 4 ** 10, 32 ** 4}
 
 
 # -- the construction identities raise typed errors, not assert -----------

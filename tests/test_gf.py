@@ -358,11 +358,47 @@ def test_make_field_writes_nothing_without_a_handler(capsys):
 # a row of the exp table of GF(2^8) takes 192 bytes, so 1000 covers five
 @pytest.mark.parametrize("budget", [1, 1000])
 def test_small_budget_gives_the_same_tables(monkeypatch, budget):
+    # the tables are built on first read, so read them before the budget shrinks
     fields = [gf.make_field(p, n) for p, n in [(2, 8), (3, 5), (5, 3), (7, 2)]]
+    tables = [(f._exp, f._log) for f in fields]
     monkeypatch.setattr(chunks, "BUDGET", budget)
-    for f in fields:
+    for f, (exp, log) in zip(fields, tables):
         g = gf.FieldSpec(f.p, f.n, f.prim_poly)
-        assert np.array_equal(g._exp, f._exp) and np.array_equal(g._log, f._log)
+        assert np.array_equal(g._exp, exp) and np.array_equal(g._log, log)
+
+
+def test_tables_are_built_on_first_read():
+    f = gf.make_field(2, 15)
+    assert "_exp" not in vars(f) and "_log" not in vars(f)
+    assert f._log[1] == 0
+    assert "_exp" in vars(f) and "_log" in vars(f)
+
+
+# every field of order at most 2^12
+FIELDS_TO_2_12 = [(p, n) for p in (2, 3, 5, 7, 11, 13, 17, 31, 61, 4093)
+                  for n in range(1, 13) if p ** n <= 2 ** 12]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS_TO_2_12), st.data())
+def test_powers_are_strided_rows_of_the_exp_table(pn, data):
+    f = _cached_field(*pn)
+    step = data.draw(st.integers(1, f.q))  # most do not divide q - 1
+    want = f._exp[::step]
+    count = data.draw(st.integers(0, len(want)))
+    got = f.powers(count, step)
+    assert got.dtype == np.int64 and np.array_equal(got, want[:count])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([pn for pn in FIELDS_TO_2_12 if pn != (2, 1)]),
+       st.integers(0, 3000), st.integers(0, 300))
+def test_powers_run_past_the_order_of_the_root(pn, step, count):
+    # GF(2) is left out: its polynomial x has the root 0, whose powers are
+    # 1, 0, 0, ...; the field keeps only the first
+    f = _cached_field(*pn)
+    want = f._exp[step * np.arange(count) % (f.q - 1)]
+    assert np.array_equal(f.powers(count, step), want)
 
 
 # -- the array field ------------------------------------------------------

@@ -6,8 +6,13 @@ import tracemalloc
 import numpy as np
 
 from addesigns import chunks, cli, geometry, gf
-from addesigns.additivity import Embedding, ag_identity_embedding, pg_strong_embedding
-from addesigns.designs import Design, singer_diffset, validate_2design
+from addesigns.additivity import (
+    Embedding,
+    ag_identity_embedding,
+    cyclic_embedding,
+    pg_strong_embedding,
+)
+from addesigns.designs import Design, develop, singer_diffset, validate_2design
 
 MiB = 2 ** 20
 
@@ -41,9 +46,29 @@ def test_validate_2design_singer32_peaks_below_3_mib():
 
 def test_gf_2_15_table_build_peaks_below_2_mib():
     # 3.2 MiB when the field kept its exp and log tables as Python lists
-    # (about 2.5 MiB of it); 1.0 MiB with the two int64 arrays
+    # (about 2.5 MiB of it); 1.0 MiB with the two int64 arrays.  The tables
+    # are built on first read, so the build is the read of _log.
     poly = gf.make_field(2, 15).prim_poly
-    assert peak_bytes(lambda: gf.FieldSpec(2, 15, poly)) < 2 * MiB
+    assert peak_bytes(lambda: gf.FieldSpec(2, 15, poly)._log) < 2 * MiB
+
+
+def test_singer32_set_peaks_below_0_5_mib():
+    # 1.04 MiB when the set was read from the exp and log tables of GF(2^15)
+    assert peak_bytes(lambda: singer_diffset(2, 32)) < 0.5 * MiB
+
+
+def test_singer32_cyclic_embedding_peaks_below_0_5_mib():
+    # 1.04 MiB when the 1057 powers of g were read from the exp table
+    ds = singer_diffset(2, 32)
+    assert peak_bytes(lambda: cyclic_embedding(ds, 2)) < 0.5 * MiB
+
+
+def test_singer32_development_peaks_below_0_8_mib():
+    # 1.00 MiB when the blocks were built and kept in int64
+    ds = singer_diffset(2, 32)
+    made = []
+    assert peak_bytes(lambda: made.append(develop(ds))) < 0.8 * MiB
+    assert made[0].lam == 1 and made[0].blocks.dtype == np.uint16
 
 
 def test_enumerate_subspaces_4_7_1_peaks_below_6_mib():
