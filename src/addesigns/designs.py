@@ -78,7 +78,8 @@ class Design:
 
     blocks is a (b x k) array of the point indices, each row sorted, in
     _point_dtype(v).  params (k, lam, r, b, symmetric) are attached by
-    validate_2design; until then they are None.
+    validate_2design, or by develop from a difference-set certificate;
+    until then they are None.
     """
 
     def __init__(self, v, blocks, points=None):
@@ -276,17 +277,27 @@ def validate_difference_set(v, elems):
 
 
 def develop(ds):
-    """The symmetric design (Z_v, {D+i : 0 <= i < v}) of a certified set."""
-    # the narrow blocks, their sorted copy and the int64 incidence sort of
-    # their validation take about 20 bytes per entry (tracemalloc peak of
-    # the Paley(2003) development: 38.4 MB)
-    chunks.refuse_beyond_memory("the development of %r" % ds, ds.v, "blocks", 20 * ds.k)
+    """The symmetric design (Z_v, {D+i : 0 <= i < v}) of a difference set.
+
+    The development of a (v, k, lam) difference set is a symmetric
+    2-(v, k, lam) design, so its parameters are those of the certificate of
+    ds.elems, taken again here (one difference_counts product, O(v) words),
+    and no pair of its blocks is counted.
+    """
     sums = np.min_scalar_type(2 * ds.v - 2)  # d + i, 0 <= d, i < v
-    blocks = np.add.outer(np.arange(ds.v, dtype=sums), np.array(ds.elems, sums))
+    # the blocks, the design's sorted copy and the bools of its repeat check
+    # (tracemalloc peak of the Paley(2003) development: 5.0 bytes an entry)
+    row_bytes = ds.k * (sums.itemsize + _point_dtype(ds.v).itemsize + 1)
+    chunks.refuse_beyond_memory("the development of %r" % ds, ds.v, "blocks", row_bytes)
+    certified = validate_difference_set(ds.v, ds.elems)
+    blocks = np.add.outer(np.arange(ds.v, dtype=sums), np.array(certified.elems, sums))
     blocks %= ds.v
     design = Design(ds.v, blocks)
-    del blocks  # validation needs only the design's sorted copy
-    return validate_2design(design)
+    design.k = design.r = certified.k
+    design.lam = certified.lam
+    design.b = ds.v
+    design.symmetric = True
+    return design
 
 
 def paley_diffset(v):

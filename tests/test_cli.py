@@ -61,6 +61,19 @@ def test_gen_paley7_is_development_of_124(tmp_path):
     assert [2, 3, 5] in doc["blocks"]  # translate by 1
 
 
+@pytest.mark.parametrize("argv, params", [
+    (["gen", "dev", "--v", "13", "--set", "0,1,3,9"], (13, 4, 1)),
+    (["gen", "singer", "--n", "2", "--q", "4"], (21, 5, 1)),
+    (["gen", "paley", "--v", "43"], (43, 21, 10)),
+], ids=["dev", "singer", "paley"])
+def test_gen_development_counts_no_pairs(capsys, argv, params):
+    # the difference-set certificate gives the parameters of a development
+    with mock.patch.object(designs, "validate_2design", side_effect=AssertionError("counted")):
+        assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["v"], doc["k"], doc["lambda"]) == params and len(doc["blocks"]) == doc["v"]
+
+
 def test_gen_stdout(capsys):
     assert main(["gen", "paley", "--v", "7", "--format", "diffset"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -299,7 +312,7 @@ def test_oversized_field_inputs_exit_2_at_once(monkeypatch, capsys, argv, messag
 
 def test_paley_development_beyond_memory_exits_2(monkeypatch, capsys):
     # 16 MiB of memory: the set of Paley(10007) takes about 1 MB, its
-    # development 10007 blocks of 5003 points, about 1.6 GB
+    # development 10007 blocks of 5003 points, about 250 MB
     monkeypatch.setattr(chunks.os, "sysconf", {"SC_PHYS_PAGES": 2 ** 12, "SC_PAGE_SIZE": 4096}.get)
     rc, err = _exit_and_error(capsys, ["gen", "paley", "--v", "10007"])
     assert rc == 2 and err.startswith(

@@ -430,9 +430,68 @@ def test_develop_builds_blocks_at_the_point_width(ds):
 
 
 def test_validate_2design_singer32_parameters():
-    d = develop(singer_diffset(2, 32))
+    ds = singer_diffset(2, 32)
+    d = validate_2design(Design(ds.v, develop(ds).blocks))
     assert (d.v, d.k, d.lam, d.r, d.b) == (1057, 33, 1, 33, 1057)
     assert all(type(x) is int for x in (d.k, d.lam, d.r, d.b))
+
+
+# -- a development takes its parameters from the certificate of its set ----
+
+
+DEVELOPED = {
+    "singer-2-3": lambda: singer_diffset(2, 3),
+    "singer-2-4": lambda: singer_diffset(2, 4),
+    "singer-3-2": lambda: singer_diffset(3, 2),
+    "singer-2-16": lambda: singer_diffset(2, 16),
+    "singer-2-32": lambda: singer_diffset(2, 32),
+    "paley-7": lambda: paley_diffset(7),
+    "paley-11": lambda: paley_diffset(11),
+    "paley-19": lambda: paley_diffset(19),
+    "paley-43": lambda: paley_diffset(43),
+    "paley-263": lambda: paley_diffset(263),
+    "13-4-1": lambda: validate_difference_set(13, [0, 1, 3, 9]),
+}
+
+
+def _parameters(design):
+    return design.v, design.k, design.lam, design.r, design.b, design.symmetric
+
+
+def assert_develop_matches_counted_pairs(ds):
+    d = develop(ds)
+    counted = validate_2design(Design(ds.v, (np.array(ds.elems) + np.arange(ds.v)[:, None]) % ds.v))
+    assert d.blocks.tolist() == counted.blocks.tolist()
+    assert _parameters(d) == _parameters(counted)
+    assert all(type(x) is int for x in (d.k, d.lam, d.r, d.b))
+
+
+@pytest.mark.parametrize("name", DEVELOPED)
+def test_develop_matches_counted_pairs(name):
+    assert_develop_matches_counted_pairs(DEVELOPED[name]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(DEVELOPED)), st.data())
+def test_develop_matches_counted_pairs_on_affine_images(name, data):
+    ds = DEVELOPED[name]()
+    t = data.draw(st.integers(1, ds.v - 1).filter(lambda t: np.gcd(t, ds.v) == 1), label="t")
+    s = data.draw(st.integers(0, ds.v - 1), label="s")
+    assert_develop_matches_counted_pairs(
+        validate_difference_set(ds.v, [(t * d + s) % ds.v for d in ds.elems]))
+
+
+def test_develop_certifies_a_hand_built_set_again():
+    with pytest.raises(NotDifferenceSet, match="residue 1 covered 3 times, expected 1"):
+        develop(designs.DifferenceSet(13, [0, 1, 2, 3], 1))
+    # a wrong lambda is not carried over: the certificate's is attached
+    assert develop(designs.DifferenceSet(13, [0, 1, 3, 9], 2)).lam == 1
+
+
+def test_develop_counts_no_pairs():
+    with mock.patch.object(designs, "validate_2design", side_effect=AssertionError("counted")):
+        d = develop(singer_diffset(2, 16))
+    assert _parameters(d) == (273, 17, 1, 17, 273, True)
 
 
 # -- the Singer set from v powers and a trace matrix ---------------------

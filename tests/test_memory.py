@@ -12,7 +12,7 @@ from addesigns.additivity import (
     cyclic_embedding,
     pg_strong_embedding,
 )
-from addesigns.designs import Design, develop, singer_diffset, validate_2design
+from addesigns.designs import Design, develop, paley_diffset, singer_diffset, validate_2design
 
 MiB = 2 ** 20
 
@@ -69,6 +69,15 @@ def test_singer32_development_peaks_below_0_8_mib():
     made = []
     assert peak_bytes(lambda: made.append(develop(ds))) < 0.8 * MiB
     assert made[0].lam == 1 and made[0].blocks.dtype == np.uint16
+
+
+def test_paley2003_development_peaks_below_12_mib():
+    # 36.6 MiB when validate_2design counted its pairs; 9.6 MiB, 5 bytes an
+    # entry, for the blocks, their sorted copy and the repeat check's bools
+    ds = paley_diffset(2003)
+    made = []
+    assert peak_bytes(lambda: made.append(develop(ds))) < 12 * MiB
+    assert (made[0].k, made[0].lam) == (1001, 500)
 
 
 def test_enumerate_subspaces_4_7_1_peaks_below_6_mib():
