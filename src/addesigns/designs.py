@@ -347,14 +347,13 @@ def _zero_trace_exponents(field, q, degree):
     of Trace(c) when row j of T, from the last, is Trace(x^j), the sum of
     x^(j q^l) mod f over l < degree."""
     p, t = field.p, field.n
-    poly = [c % p for c in reversed(field.prim_poly[1:])]
     trace = np.zeros((t, t), dtype=np.int64)
     for l in range(degree):
-        frobenius = gf._x_power(q ** l, poly, p)  # x^(q^l)
-        term = [1] + [0] * (t - 1)  # x^0, which _x_power does not take
+        frobenius = gf.x_power_matrix(p, field.prim_poly, q ** l)  # times x^(q^l)
+        term = np.eye(1, t, dtype=np.int64)[0]  # x^0
         for j in range(t):
-            trace[t - 1 - j] += term
-            term = gf._mulmod(term, frobenius, poly, p)
+            trace[t - 1 - j] += term  # x^(j q^l), low degree first
+            term = term @ frobenius % p
     # digits(c) @ T is the sum of the terms of the h low and the t - h high
     # digits of c, so Trace(c) = 0 iff the trace of the low part is minus
     # that of the high part: two tables of codes, of p^h and p^(t-h) parts

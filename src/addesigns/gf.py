@@ -1,16 +1,20 @@
 """Exact finite-field arithmetic GF(p^n) from the powers of a root.
 
 An element is its integer code sum(c_j * p^j), c_j the coefficient of
-x^j of its polynomial in the root r of a primitive polynomial; `digits`
+x^j of its polynomial in the root r of a primitive polynomial f; `digits`
 turns codes into coefficient rows, highest degree first.
 
-Primitivity is decided by the order test on x (Lidl & Niederreiter,
-Finite Fields, Thm 3.16 ff.).  `FieldSpec.powers` gives the codes of
-r^(step i) for i < count by a doubling recurrence, so a caller that needs
-v powers of an element of order v reads v codes, not q - 1.  The exp and
-log tables, two read-only int64 arrays, are built on first read;
-`sum_codes` adds codes by adding their base-p digits mod p, which is XOR
-for p = 2.
+`x_power_matrix` is the one way the package reduces x^e modulo f: by
+square and multiply it gives the digit matrix of multiplication by x^e,
+whose row 0 is x^e.  The order test on x (Lidl & Niederreiter, Finite
+Fields, Thm 3.16 ff.) reads row 0; `FieldSpec.powers` gives the codes of
+r^(step i) for i < count as digit rows times the matrix of r^(step f),
+squared each round, so a caller that needs v powers of an element of
+order v reads v codes, not q - 1.  `FieldSpec` reduces, shape-checks and
+order-tests every polynomial it is given; `make_field` only searches.
+The exp and log tables, two read-only int64 arrays, are built on first
+read; `sum_codes` adds codes by adding their base-p digits mod p, which
+is XOR for p = 2.
 """
 
 import functools
@@ -42,17 +46,19 @@ def is_prime(m):
 
 
 class FieldSpec:
-    """GF(p^n) defined by a primitive polynomial.  `powers` reads powers
-    of its root r; the int64 exp/log tables are built, read-only, on
-    first read."""
+    """GF(p^n) defined by a primitive polynomial, high degree first; its
+    coefficients are taken mod p, and it must be monic of degree n with
+    a root of order q - 1.  `powers` reads powers of its root r; the
+    int64 exp/log tables are built, read-only, on first read."""
 
     def __init__(self, p, n, prim_poly):
         self.p = p
         self.n = n
         self.q = p ** n
-        self.prim_poly = tuple(prim_poly)  # high-to-low, length n+1
-        # GF(2) is degenerate: its one power is 1 and the root is unused
-        fault = self.q > 2 and _order_fault(p, n, self.prim_poly, _prime_factors(self.q - 1))
+        self.prim_poly = tuple(c % p for c in prim_poly)  # high-to-low, length n+1
+        if len(self.prim_poly) != n + 1 or self.prim_poly[0] != 1:
+            raise NotPrimitivePolynomial("polynomial must be monic of degree %d" % n)
+        fault = _order_fault(p, n, self.prim_poly, _prime_factors(self.q - 1))
         if fault:
             raise NotPrimitivePolynomial(fault % (self.describe(), self.q - 1))
 
@@ -66,13 +72,7 @@ class FieldSpec:
         """
         p, n = self.p, self.n
         weights = p ** np.arange(n, dtype=np.int64)
-        xmat = np.eye(n, k=1, dtype=np.int64)  # row j: x^(j+1) mod prim_poly
-        xmat[n - 1] = [-c % p for c in reversed(self.prim_poly[1:])]
-        mat = np.eye(n, dtype=np.int64)  # multiplication by r^step
-        for bit in bin(step)[2:]:
-            mat = mat @ mat % p
-            if bit == "1":
-                mat = mat @ xmat % p
+        mat = x_power_matrix(p, self.prim_poly, step)  # multiplication by r^step
         out = np.empty(count, dtype=np.int64)
         out[:1] = 1
         rows = chunks.rows_per_chunk(24 * n)
@@ -162,76 +162,63 @@ def refuse_beyond_cap(q, m):
         raise FieldTooLarge("refusing table construction for q = %d^%d" % (q, m))
 
 
-def _mulmod(a, b, low, p):
-    """a * b modulo x^n + sum(low[j] x^j) over Z_p; a, b and the result
-    are coefficient lists of length n, low degree first."""
-    n = len(low)
-    prod = [0] * (2 * n - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                prod[i + j] += c * d
-    for i in range(2 * n - 2, n - 1, -1):
-        c = prod[i] % p
-        if c:
-            # c x^i = -c x^(i-n) * sum(low[j] x^j)
-            for j, f in enumerate(low):
-                prod[i - n + j] -= c * f
-    return [c % p for c in prod[:n]]
-
-
-def _x_power(e, low, p):
-    """x^e modulo x^n + sum(low[j] x^j) over Z_p, e >= 1, by square and
-    multiply."""
-    n = len(low)
-    x = [0] * n
-    if n == 1:
-        x[0] = -low[0] % p
-    else:
-        x[1] = 1
-    out = x
-    for bit in bin(e)[3:]:
-        out = _mulmod(out, out, low, p)
+def x_power_matrix(p, poly, e):
+    """The matrix of multiplication by x^e modulo poly over Z_p, e >= 0,
+    by square and multiply.  poly is monic of degree n >= 1, high degree
+    first, with coefficients in range(p).  Row j holds the coefficients
+    of x^(j+e) mod poly, low degree first, so row 0 is x^e and a row of
+    digits times the matrix, mod p, is that polynomial times x^e.  The
+    entries are int64 below p; a product of two holds n (p-1)^2 at most.
+    """
+    n = len(poly) - 1
+    xmat = np.eye(n, k=1, dtype=np.int64)  # row j: x^(j+1) mod poly
+    xmat[n - 1] = [-c % p for c in reversed(poly[1:])]
+    mat = np.eye(n, dtype=np.int64)
+    for bit in bin(e)[2:]:
+        mat = mat @ mat % p
         if bit == "1":
-            out = _mulmod(x, out, low, p)  # x first: one nonzero coefficient
-    return out
+            mat = mat @ xmat % p
+    return mat
 
 
 def _order_fault(p, n, poly, factors):
-    """None if x has order q - 1 modulo poly, q = p^n > 2: x^(q-1) = 1 and
+    """None if x has order q - 1 modulo poly, q = p^n: x^(q-1) = 1 and
     x^((q-1)/r) != 1 for every prime r in `factors`, the prime factors of
     q - 1.  Otherwise the message of the check that fails, to be filled
-    with the field and q - 1.
+    with the field and q - 1.  poly is monic of degree n, high degree
+    first, with coefficients in range(p).  In GF(2) the one power is 1
+    and the root is unused, so any poly will do.
 
     If poly is reducible the unit group of Z_p[x]/(poly) is strictly
     smaller than q - 1, so this test also certifies irreducibility.
     """
     q = p ** n
-    low = [c % p for c in reversed(poly[1:])]
-    one = [1] + [0] * (n - 1)
+    if q == 2:
+        return None
+
+    def is_one(e):  # x^e = 1 iff row 0 of its matrix is (1, 0, ..., 0)
+        row = x_power_matrix(p, poly, e)[0]
+        return row[0] == 1 and not row[1:].any()
+
     # if x divides poly, x is not a unit
-    if low[0] == 0 or _x_power(q - 1, low, p) != one:
+    if poly[-1] == 0 or not is_one(q - 1):
         return "root of %s does not have order %d"
-    if any(_x_power((q - 1) // r, low, p) == one for r in factors):
+    if any(is_one((q - 1) // r) for r in factors):
         return "root powers of %s repeat before order %d"
     return None
-
-
-def _is_primitive(p, n, poly, factors):
-    """Whether x has order q - 1 modulo poly (see _order_fault).  In GF(2)
-    the one power is 1 and the root is unused, so any poly will do."""
-    return p ** n == 2 or _order_fault(p, n, poly, factors) is None
 
 
 def make_field(p, n, poly=None):
     """Build GF(p^n).
 
     If poly is omitted, the lexicographically smallest primitive polynomial
-    (coefficients compared low-degree-first) is found by search.  A supplied
-    poly must be monic of degree n and is checked for primitivity.  Logs
-    the candidates tried, the search time and, as table_s, the time of
-    constructing the FieldSpec, at DEBUG level on the "addesigns" logger.
-    The exp and log tables are built on first read, not then.
+    (coefficients compared low-degree-first) is found by the order test.
+    A supplied poly is passed to `FieldSpec`, which reduces it mod p and
+    refuses it unless it is monic of degree n with a root of order q - 1.
+    Logs the candidates tried, the polynomial, the search time and, as
+    table_s, the time of constructing the FieldSpec, at DEBUG level on the
+    "addesigns" logger.  The exp and log tables are built on first read,
+    not then.
     """
     if n < 1:
         raise NotPrimitivePolynomial("extension degree must be >= 1")
@@ -239,25 +226,17 @@ def make_field(p, n, poly=None):
     if not is_prime(p):
         raise NotPrime("%d is not prime" % p)
     start = time.perf_counter()
-    factors = list(_prime_factors(p ** n - 1))
-    if poly is not None:
-        poly = tuple(c % p for c in poly)
-        if len(poly) != n + 1 or poly[0] != 1:
-            raise NotPrimitivePolynomial("polynomial must be monic of degree %d" % n)
-        if not _is_primitive(p, n, poly, factors):
-            raise NotPrimitivePolynomial(
-                "x is not a generator modulo the given polynomial"
-            )
-        tried = 1
-    else:
+    tried = 1
+    if poly is None:
+        factors = list(_prime_factors(p ** n - 1))
         for tried, poly in enumerate(_poly_candidates(p, n), 1):
-            if _is_primitive(p, n, poly, factors):
+            if _order_fault(p, n, poly, factors) is None:
                 break
     searched = time.perf_counter()
     field = FieldSpec(p, n, poly)
     log_debug(
         "make_field p=%d n=%d candidates=%d poly=%s search_s=%.6f table_s=%.6f",
-        p, n, tried, ",".join(map(str, poly)),
+        p, n, tried, ",".join(map(str, field.prim_poly)),
         searched - start, time.perf_counter() - searched,
     )
     return field

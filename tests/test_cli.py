@@ -93,6 +93,26 @@ def test_embed_cyclic_golden_meta(tmp_path):
     assert doc["meta"]["sign"] == -1
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "singer", "--n", "2", "--q", "2"],
+    ["embed", "cyclic", "{ds}", "--p", "2"],
+    ["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--points", "cyclic"],
+], ids=["gen-singer", "embed-cyclic", "gen-pg-cyclic"])
+@pytest.mark.parametrize("poly, message", [
+    ("1,1", "NotPrimitivePolynomial: polynomial must be monic of degree 3\n"),
+    ("1,0,1,0", "NotPrimitivePolynomial: root of GF(2^3; 1,0,1,0) does not have order 7\n"),
+], ids=["degree", "order"])
+def test_a_refused_field_polynomial_exits_1(tmp_path, capsys, argv, poly, message):
+    # each leaf builds GF(2^3): Singer(2, 2), the Fano set in EA(2^3), PG(2, 2)
+    ds = tmp_path / "ds.json"
+    assert main(["gen", "dev", "--v", "7", "--set", "1,2,4", "--format", "diffset",
+                 "--out", str(ds)]) == 0
+    argv = [a.format(ds=ds) for a in argv]
+    assert main(argv + ["--poly", poly, "--out", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_embed_subspace_pg133(tmp_path):
     design = tmp_path / "pg.json"
     emb = tmp_path / "emb.json"

@@ -1,4 +1,5 @@
-"""Every error class has a raiser."""
+"""Structural checks on the package source: every error class has a
+raiser, and no module reaches into another module's private names."""
 
 import ast
 import pathlib
@@ -26,3 +27,16 @@ def test_every_error_class_is_raised_somewhere():
     assert len(classes) > 2
     unraised = classes - {"AddesignsError", "TooLarge"} - _raised_names()
     assert not unraised, "error classes without a raiser: %s" % sorted(unraised)
+
+
+def test_no_module_calls_another_modules_private_function():
+    # a private helper's format, such as gf's polynomials, stays behind its module
+    modules = {path.stem for path in SRC.glob("*.py")}
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id in modules - {path.stem} and func.attr.startswith("_")):
+                calls.append("%s: %s.%s" % (path.name, func.value.id, func.attr))
+    assert not calls, calls

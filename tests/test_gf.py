@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint, isprime
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
+from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem, gf_strip
 
 from addesigns import chunks, gf
 from addesigns.errors import FieldTooLarge, NotCoprime, NotPrime, NotPrimitivePolynomial
@@ -117,11 +117,12 @@ def test_exp_log_roundtrip_and_homomorphism():
     f = gf.make_field(3, 3, [1, 2, 0, 1])
     assert np.array_equal(f._log[f._exp], np.arange(26))
     assert len(set(f._exp.tolist())) == 26 and 0 not in f._exp
-    low = [c % f.p for c in reversed(f.prim_poly[1:])]
-    rows = gf.digits(f._exp, f.n, f.p)[:, ::-1].tolist()  # low degree first
+    # sympy's polynomials run high degree first, without leading zeros
+    rows = [gf_strip(row) for row in gf.digits(f._exp, f.n, f.p).tolist()]
     for i in range(0, 26, 5):
         for j in range(0, 26, 7):
-            assert gf._mulmod(rows[i], rows[j], low, f.p) == rows[(i + j) % 26]
+            product = gf_mul(rows[i], rows[j], f.p, ZZ)
+            assert gf_rem(product, list(f.prim_poly), f.p, ZZ) == rows[(i + j) % 26]
 
 
 def test_subgroup_generator_gf27():
@@ -275,7 +276,7 @@ ORDER_TEST_FIELDS = (
 def test_order_test_agrees_with_walk_on_every_candidate(p, n):
     factors = list(gf._prime_factors(p ** n - 1))
     for cand in gf._poly_candidates(p, n):
-        assert gf._is_primitive(p, n, cand, factors) == _old_is_primitive(p, n, cand), cand
+        assert (gf._order_fault(p, n, cand, factors) is None) == _old_is_primitive(p, n, cand), cand
 
 
 @pytest.mark.parametrize("p,n", [f for f in ORDER_TEST_FIELDS if f != (2, 1)])
@@ -321,6 +322,13 @@ def test_table_checks_raise_typed_errors():
     # x^2 + 1 over Z_3: x has order 4, so x^8 = 1 but the powers repeat
     with pytest.raises(NotPrimitivePolynomial, match="repeat before order 8"):
         gf.FieldSpec(3, 2, (1, 0, 1))
+    # a polynomial of the wrong length or leading coefficient is refused untested
+    with pytest.raises(NotPrimitivePolynomial, match="monic of degree 2"):
+        gf.FieldSpec(2, 2, (0, 1, 1))
+    with pytest.raises(NotPrimitivePolynomial, match="monic of degree 3"):
+        gf.FieldSpec(2, 3, (1, 1))
+    # coefficients are taken mod p: x^2 + x + 3 is x^2 + x + 1 over Z_2
+    assert gf.FieldSpec(2, 2, (1, 1, 3)).prim_poly == (1, 1, 1)
 
 
 @pytest.mark.parametrize(
@@ -399,6 +407,21 @@ def test_powers_run_past_the_order_of_the_root(pn, step, count):
     f = _cached_field(*pn)
     want = f._exp[step * np.arange(count) % (f.q - 1)]
     assert np.array_equal(f.powers(count, step), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS_TO_2_12), st.data())
+def test_x_power_matrix_row_0_is_sympys_power_of_x(pn, data):
+    # any monic f of degree n, primitive or not; e as the order test and
+    # the Singer trace take it
+    p, n = pn
+    q = p ** n
+    poly = (1,) + tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+    e = data.draw(st.sampled_from([0, 1, q - 1] + [q ** l for l in range(1, 4)]))
+    want = gf_pow_mod([1, 0], e, list(poly), p, ZZ)
+    want = ([0] * (n - len(want)) + want)[::-1]  # low degree first
+    mat = gf.x_power_matrix(p, poly, e)
+    assert mat.shape == (n, n) and mat[0].tolist() == want
 
 
 # -- the array field ------------------------------------------------------
