@@ -253,16 +253,14 @@ def subspace_embedding(m, q, design, poly=None):
     The design's points must be the exponent classes of GF(q^m)*/F_q*
     in order, i.e. point i represents the class of omega^i.
     """
-    gf.refuse_beyond_cap(q, m)
-    p, alpha = gf.prime_power(q)
-    field = gf.make_field(p, alpha * m, poly)
+    field = gf.make_field(q, m, poly)
     v = bracket(m, q)
     if design.v != v:
         raise SizeMismatch("design has %d points, GF(%d^%d) classes: %d" % (design.v, q, m, v))
-    image = gf.digits(field.powers(v, q - 1), alpha * m, p)  # row i: omega^(i(q-1))
-    emb = _injective(Embedding(AbelianGroup(p, alpha * m), image, "subspace-smooth",
+    image = gf.digits(field.powers(v, q - 1), field.n, field.p)  # row i: omega^(i(q-1))
+    emb = _injective(Embedding(AbelianGroup(field.p, field.n), image, "subspace-smooth",
                                {"q": q, "m": m, "poly": list(field.prim_poly)}))
-    bad = next(_nonzero_block_sums(emb.image, design.blocks, p), None)
+    bad = next(_nonzero_block_sums(emb.image, design.blocks, field.p), None)
     if bad is not None:
         raise NotSubspaceBlocks("block %d is not a subspace in this coordinatization" % bad[0])
     return emb

@@ -116,20 +116,22 @@ class Design:
 
     @classmethod
     def from_dict(cls, d):
-        """Read a design; a document that claims k (and lambda) is
-        validated, and the claims must match what its blocks give."""
+        """Read a design.  A document that claims k or lambda, each an int,
+        is validated, and every claim must be what its blocks give; one
+        that claims neither is read unvalidated, as `to_dict` wrote it."""
         v, points = document_field(d, "v", int), d.get("points")
         if points is not None and not (isinstance(points, list) and len(points) == v):
             raise MalformedDocument("'points' must be a list of v = %d labels" % v)
+        claims = {key: document_field(d, key, int) for key in ("k", "lambda") if key in d}
         design = cls(v, d.get("blocks"), points)
-        if "k" in d:
-            design = validate_2design(design)
-            claimed = (d["k"], d.get("lambda", design.lam))
-            if claimed != (design.k, design.lam):
-                raise NotTwoDesign(
-                    "document claims (k, lambda) = (%s, %s), blocks give (%d, %d)"
-                    % (claimed + (design.k, design.lam))
-                )
+        if not claims:
+            return design
+        design = validate_2design(design)
+        given = (design.k, design.lam)
+        claimed = (claims.get("k", design.k), claims.get("lambda", design.lam))
+        if claimed != given:
+            raise NotTwoDesign("document claims (k, lambda) = (%d, %d), blocks give (%d, %d)"
+                               % (claimed + given))
         return design
 
     def __repr__(self):
@@ -325,9 +327,7 @@ def singer_diffset(n, q, poly=None):
     """
     if n < 2:
         raise BadModulus("Singer construction needs n >= 2")
-    gf.refuse_beyond_cap(q, n + 1)
-    p, alpha = gf.prime_power(q)
-    field = gf.make_field(p, alpha * (n + 1), poly)
+    field = gf.make_field(q, n + 1, poly)
     v = (q ** (n + 1) - 1) // (q - 1)
     ds = validate_difference_set(v, _zero_trace_exponents(field, q, n + 1))
     expected = ((q ** n - 1) // (q - 1), (q ** (n - 1) - 1) // (q - 1))

@@ -54,8 +54,7 @@ def gaussian(n, k, q):
 
 @lru_cache(maxsize=None)
 def _field(q):
-    p, alpha = gf.prime_power(q)
-    return gf.make_field(p, alpha)
+    return gf.make_field(q, 1)
 
 
 def _tables(field, elem):
@@ -240,9 +239,7 @@ def pg_design_cyclic(n, q, d, poly=None):
     """
     if not 1 <= d <= n - 1:
         raise DimensionOutOfRange("need 1 <= d <= n-1")
-    gf.refuse_beyond_cap(q, n + 1)
-    p, alpha = gf.prime_power(q)
-    field = gf.make_field(p, alpha * (n + 1), poly)
+    field = gf.make_field(q, n + 1, poly)
     big = field.q - 1
     v = bracket(n + 1, q)
     if big != v * (q - 1):

@@ -11,10 +11,12 @@ Fields, Thm 3.16 ff.) reads row 0; `FieldSpec.powers` gives the codes of
 r^(step i) for i < count as digit rows times the matrix of r^(step f),
 squared each round, so a caller that needs v powers of an element of
 order v reads v codes, not q - 1.  `FieldSpec` reduces, shape-checks and
-order-tests every polynomial it is given; `make_field` only searches.
-The exp and log tables, two read-only int64 arrays, are built on first
-read; `sum_codes` adds codes by adding their base-p digits mod p, which
-is XOR for p = 2.
+order-tests a polynomial it is given, or takes the first candidate that
+passes the order test, so each polynomial is tested once.  `make_field`
+is the one way in to GF(q^m), q a prime power: it refuses an order
+beyond MAX_FIELD_ORDER before it factors q.  The exp and log tables, two
+read-only int64 arrays, are built on first read; `sum_codes` adds codes
+by adding their base-p digits mod p, which is XOR for p = 2.
 """
 
 import functools
@@ -46,19 +48,27 @@ def is_prime(m):
 
 
 class FieldSpec:
-    """GF(p^n) defined by a primitive polynomial, high degree first; its
-    coefficients are taken mod p, and it must be monic of degree n with
-    a root of order q - 1.  `powers` reads powers of its root r; the
-    int64 exp/log tables are built, read-only, on first read."""
+    """GF(p^n), p prime, defined by a primitive polynomial, high degree
+    first.  A given polynomial's coefficients are taken mod p, and it
+    must be monic of degree n with a root of order q - 1; without one,
+    the first of `_poly_candidates` whose root has that order is taken.
+    Either way q - 1 is factored once and one polynomial passes one order
+    test.  `powers` reads powers of its root r; the int64 exp/log tables
+    are built, read-only, on first read."""
 
-    def __init__(self, p, n, prim_poly):
+    def __init__(self, p, n, prim_poly=None):
         self.p = p
         self.n = n
         self.q = p ** n
+        factors = list(_prime_factors(self.q - 1))
+        if prim_poly is None:
+            self.prim_poly = next(poly for poly in _poly_candidates(p, n)
+                                  if _order_fault(p, n, poly, factors) is None)
+            return
         self.prim_poly = tuple(c % p for c in prim_poly)  # high-to-low, length n+1
         if len(self.prim_poly) != n + 1 or self.prim_poly[0] != 1:
             raise NotPrimitivePolynomial("polynomial must be monic of degree %d" % n)
-        fault = _order_fault(p, n, self.prim_poly, _prime_factors(self.q - 1))
+        fault = _order_fault(p, n, self.prim_poly, factors)
         if fault:
             raise NotPrimitivePolynomial(fault % (self.describe(), self.q - 1))
 
@@ -155,13 +165,6 @@ def _prime_factors(m):
         yield m
 
 
-def refuse_beyond_cap(q, m):
-    """Raise FieldTooLarge if the field of order q^m, q >= 2, is beyond
-    MAX_FIELD_ORDER; q^m is not computed when m alone decides it."""
-    if q >= 2 and (m >= MAX_FIELD_ORDER.bit_length() or q ** m > MAX_FIELD_ORDER):
-        raise FieldTooLarge("refusing table construction for q = %d^%d" % (q, m))
-
-
 def x_power_matrix(p, poly, e):
     """The matrix of multiplication by x^e modulo poly over Z_p, e >= 0,
     by square and multiply.  poly is monic of degree n >= 1, high degree
@@ -208,36 +211,31 @@ def _order_fault(p, n, poly, factors):
     return None
 
 
-def make_field(p, n, poly=None):
-    """Build GF(p^n).
+def make_field(q, m, poly=None):
+    """Build GF(q^m), q = p^alpha a prime power, as GF(p^n), n = alpha m.
 
-    If poly is omitted, the lexicographically smallest primitive polynomial
-    (coefficients compared low-degree-first) is found by the order test.
-    A supplied poly is passed to `FieldSpec`, which reduces it mod p and
-    refuses it unless it is monic of degree n with a root of order q - 1.
-    Logs the candidates tried, the polynomial, the search time and, as
-    table_s, the time of constructing the FieldSpec, at DEBUG level on the
+    q^m is compared with MAX_FIELD_ORDER before q is factored, so a large
+    prime q is refused without trial division; a q that is not a prime
+    power raises NotPrime.  `FieldSpec` then tests the supplied poly, or
+    without one takes the lexicographically smallest primitive polynomial
+    (see `_poly_candidates`).  Logs the candidates tried (the chosen
+    polynomial's rank plus one, or 1 for a supplied one), the polynomial
+    and the seconds of finding or testing it, at DEBUG level on the
     "addesigns" logger.  The exp and log tables are built on first read,
     not then.
     """
-    if n < 1:
+    if m < 1:
         raise NotPrimitivePolynomial("extension degree must be >= 1")
-    refuse_beyond_cap(p, n)
-    if not is_prime(p):
-        raise NotPrime("%d is not prime" % p)
+    if q >= 2 and (m >= MAX_FIELD_ORDER.bit_length() or q ** m > MAX_FIELD_ORDER):
+        raise FieldTooLarge("refusing table construction for q = %d^%d" % (q, m))
+    p, alpha = prime_power(q)
     start = time.perf_counter()
-    tried = 1
-    if poly is None:
-        factors = list(_prime_factors(p ** n - 1))
-        for tried, poly in enumerate(_poly_candidates(p, n), 1):
-            if _order_fault(p, n, poly, factors) is None:
-                break
-    searched = time.perf_counter()
-    field = FieldSpec(p, n, poly)
+    field = FieldSpec(p, alpha * m, poly)
+    low_first = reversed(field.prim_poly[1:])
+    tried = 1 if poly is not None else 1 + sum(c * p ** j for j, c in enumerate(low_first))
     log_debug(
-        "make_field p=%d n=%d candidates=%d poly=%s search_s=%.6f table_s=%.6f",
-        p, n, tried, ",".join(map(str, field.prim_poly)),
-        searched - start, time.perf_counter() - searched,
+        "make_field p=%d n=%d candidates=%d poly=%s search_s=%.6f",
+        p, field.n, tried, ",".join(map(str, field.prim_poly)), time.perf_counter() - start,
     )
     return field
 

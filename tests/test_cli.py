@@ -747,6 +747,31 @@ def test_verify_reports_the_design_error_before_the_embedding_error(
     assert _exit_and_error(capsys, ["verify", str(design), str(emb)]) == expected
 
 
+def _design_readers(design, emb):
+    return [["info", str(design)], ["embed", "symmetric", str(design)],
+            ["verify", str(design), str(emb)]]
+
+
+@pytest.mark.parametrize("claims", [{"k": 3.0, "lambda": 1.0}, {"lambda": "x"}, {"k": True}],
+                         ids=["float-claims", "str-lambda", "bool-k"])
+def test_mistyped_design_claims_exit_2(tmp_path, capsys, claims):
+    design, emb = _fano_documents(tmp_path)
+    design.write_text(json.dumps(dict(read(design), **claims)))
+    for argv in _design_readers(design, emb):
+        rc, err = _exit_and_error(capsys, argv)
+        assert rc == 2 and err.startswith("error: "), argv
+
+
+def test_a_wrong_lambda_claim_without_k_exits_1(tmp_path, capsys):
+    design, emb = _fano_documents(tmp_path)
+    doc = read(design)
+    del doc["k"]
+    design.write_text(json.dumps(dict(doc, **{"lambda": 2})))
+    for argv in _design_readers(design, emb):
+        assert _exit_and_error(capsys, argv) == (1, "NotTwoDesign: document claims (k, lambda) "
+                                                    "= (3, 2), blocks give (3, 1)\n"), argv
+
+
 def _plane3_set(tmp_path):
     path = tmp_path / "set.json"
     main(["gen", "dev", "--v", "13", "--set", "0,1,3,9", "--format", "diffset",

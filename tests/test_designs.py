@@ -271,10 +271,13 @@ def test_design_json_roundtrip():
         assert back.blocks.tolist() == d.blocks.tolist() and back.lam == 1
 
 
-@pytest.mark.parametrize("key, value", [("k", 4), ("lambda", 2)])
-def test_design_from_dict_rejects_wrong_claims(key, value):
+@pytest.mark.parametrize("key, value, drop",
+                         [("k", 4, None), ("lambda", 2, None), ("lambda", 2, "k")],
+                         ids=["k-4", "lambda-2", "lambda-2-without-k"])
+def test_design_from_dict_rejects_wrong_claims(key, value, drop):
     doc = validate_2design(Design(7, FANO_BLOCKS)).to_dict()
     doc[key] = value
+    doc.pop(drop, None)
     with pytest.raises(NotTwoDesign):
         Design.from_dict(doc)
 
@@ -522,8 +525,7 @@ SINGER_WITHIN_CAP = [(n, q) for q in _prime_powers(101) for n in range(2, 20)
 
 @pytest.mark.parametrize("n,q", SINGER_WITHIN_CAP)
 def test_singer_exponents_match_the_table_loop(n, q):
-    p, alpha = gf.prime_power(q)
-    field = gf.make_field(p, alpha * (n + 1))
+    field = gf.make_field(q, n + 1)
     assert designs._zero_trace_exponents(field, q, n + 1) == table_singer_exponents(field, q, n)
 
 

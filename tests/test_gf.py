@@ -355,7 +355,23 @@ def test_make_field_logs_one_debug_line(caplog):
     assert record.name == "addesigns" and record.levelno == logging.DEBUG
     msg = record.getMessage()
     assert msg.startswith("make_field p=2 n=4 candidates=4 poly=1,0,0,1,1 search_s=")
-    assert "table_s=" in msg
+
+
+def test_make_field_order_tests_each_polynomial_once(monkeypatch):
+    calls = []
+    original = gf._order_fault
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(gf, "_order_fault", counting)
+    # the search tries its 4 candidates and does not test the chosen one again
+    assert gf.make_field(2, 4).prim_poly == (1, 0, 0, 1, 1)
+    assert len(calls) == 4 and len(set(calls)) == 4
+    calls.clear()
+    gf.make_field(2, 4, (1, 0, 0, 1, 1))
+    assert calls == [(1, 0, 0, 1, 1)]
 
 
 def test_make_field_writes_nothing_without_a_handler(capsys):
@@ -496,3 +512,28 @@ def test_oversized_fields_are_refused_before_any_arithmetic():
         gf.make_field(2, 10 ** 12)  # p^n is never formed
     with pytest.raises(NotPrime):
         gf.make_field(6, 1)
+
+
+def test_make_field_takes_a_prime_power_q():
+    f = gf.make_field(4, 3)
+    assert (f.p, f.n, f.q) == (2, 6, 64)
+    assert f.prim_poly == gf.make_field(2, 6).prim_poly
+
+
+def test_make_field_refuses_before_factoring_q(monkeypatch):
+    def no_factoring(m):
+        raise AssertionError("factored %d" % m)
+
+    monkeypatch.setattr(gf, "_prime_factors", no_factoring)
+    with pytest.raises(FieldTooLarge):
+        gf.make_field(2 ** 61 - 1, 2)
+
+
+@pytest.mark.parametrize("q, m, error, match", [
+    (6, 1, NotPrime, "6 is not a prime power"),
+    (1, 2, NotPrime, "1 is not a prime power"),
+    (4, 0, NotPrimitivePolynomial, "extension degree must be >= 1"),
+])
+def test_make_field_refusals(q, m, error, match):
+    with pytest.raises(error, match=match):
+        gf.make_field(q, m)
