@@ -6,6 +6,12 @@ zero-sum blocks, and exhaustive verifiers for additivity and strong
 additivity.
 """
 
+import os
+
+# every product in the package is int64 or object dtype, which numpy
+# computes without BLAS, so OpenBLAS's worker threads would only burn CPU
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import additivity, designs, errors, geometry, gf
 
 __all__ = ["gf", "geometry", "designs", "additivity", "errors"]

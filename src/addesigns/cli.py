@@ -8,6 +8,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import re
 import sys
 
@@ -324,5 +325,21 @@ def main(argv=None):
         return EXIT_USAGE
 
 
+def run():
+    """The process entry: run main, flush the standard streams and end the
+    process with main's status without tearing the interpreter down,
+    which takes longer than most stages' own work and frees nothing the
+    operating system does not.  In-process callers call main(argv)."""
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        # no stream (its descriptor was closed at start), a failed write or
+        # a closed file: the interpreter's own exit flushes and reports it
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -48,15 +48,18 @@ def is_prime(m):
 
 
 class FieldSpec:
-    """GF(p^n), p prime, defined by a primitive polynomial, high degree
-    first.  A given polynomial's coefficients are taken mod p, and it
-    must be monic of degree n with a root of order q - 1; without one,
-    the first of `_poly_candidates` whose root has that order is taken.
+    """GF(p^n), p prime (else NotPrime), defined by a primitive
+    polynomial, high degree first.  A given polynomial's coefficients are
+    taken mod p, and it must be monic of degree n with a root of order
+    q - 1; without one, the first of `_poly_candidates` whose root has
+    that order is taken.
     Either way q - 1 is factored once and one polynomial passes one order
     test.  `powers` reads powers of its root r; the int64 exp/log tables
     are built, read-only, on first read."""
 
     def __init__(self, p, n, prim_poly=None):
+        if not is_prime(p):
+            raise NotPrime("%d is not a prime" % p)
         self.p = p
         self.n = n
         self.q = p ** n

@@ -25,12 +25,18 @@ def run(tmp_path, *argv):
     return main(list(argv))
 
 
-def python(*args, timeout=60):
-    """Run a fresh interpreter with this checkout's src/ first on its path."""
+def src_env(**env):
+    """This process's environment with this checkout's src/ first on the
+    path and the variables `env` set, or unset where None."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=timeout)
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)), **env)
+    return {key: value for key, value in env.items() if value is not None}
+
+
+def python(*args, timeout=60, text=True, **env):
+    """Run a fresh interpreter in `src_env(**env)`."""
+    return subprocess.run([sys.executable, *args], env=src_env(**env), capture_output=True,
+                          text=text, timeout=timeout)
 
 
 def read(path):
@@ -427,6 +433,97 @@ for r in records:
     assert len(lines) == 2
     assert lines[0].startswith("addesigns DEBUG make_field make_field p=2 n=1 candidates=")
     assert lines[1].startswith("addesigns DEBUG verify_strong verify_strong v=7 k=3 ")
+
+
+# -- a CLI process: its exit and its BLAS threads ---------------------------
+
+
+def test_stdout_bytes_of_a_process_match_the_file_and_main(tmp_path, capsys):
+    # os._exit skips the interpreter's own flush, so run() must flush stdout
+    argv = ["gen", "pg", "--n", "3", "--q", "3", "--d", "1"]
+    done = python("-m", "addesigns.cli", *argv, text=False)
+    out = tmp_path / "pg.json"
+    assert python("-m", "addesigns.cli", *argv, "--out", str(out)).returncode == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert done.returncode == 0 and done.stderr == b""
+    assert done.stdout == out.read_bytes() == capsys.readouterr().out.encode()
+
+
+@pytest.fixture(scope="module")
+def process_documents(tmp_path_factory):
+    """PG_1(3,3) under `embed pg` and PG_1(2,5) with cyclic points under
+    `embed subspace`, written in process."""
+    folder = tmp_path_factory.mktemp("process")
+    for argv in (["gen", "pg", "--n", "3", "--q", "3", "--d", "1", "--out", "{dir}/pg.json"],
+                 ["embed", "pg", "--n", "3", "--q", "3", "--d", "1", "--out", "{dir}/pg-emb.json"],
+                 ["gen", "pg", "--n", "2", "--q", "5", "--d", "1", "--points", "cyclic",
+                  "--out", "{dir}/pgc.json"],
+                 ["embed", "subspace", "{dir}/pgc.json", "--q", "5",
+                  "--out", "{dir}/pgc-emb.json"]):
+        assert main([a.format(dir=folder) for a in argv]) == 0
+    return folder
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["verify", "{dir}/pg.json", "{dir}/pg-emb.json", "--strong", "--cap", "5"], 2,
+     "strong check skipped: estimated work exceeds cap\n"),
+    (["verify", "{dir}/pgc.json", "{dir}/pgc-emb.json", "--strong"], 1, ""),
+    (["gen", "pg", "--n", "2", "--q", "2"], 2,
+     "addesigns gen pg: error: the following arguments are required: --d\n"),
+], ids=["cap-skip", "strong-fail", "missing-flag"])
+def test_a_process_exits_with_the_status_of_main(process_documents, argv, code, err):
+    done = python("-m", "addesigns.cli", *[a.format(dir=process_documents) for a in argv])
+    assert done.returncode == code and done.stderr.endswith(err), done.stderr
+    if code == 1:
+        assert done.stderr == "" and json.loads(done.stdout)["strong"] == "fail"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="a closed pipe raises EPIPE on POSIX")
+def test_a_closed_stdout_pipe_exits_2():
+    proc = subprocess.Popen([sys.executable, "-m", "addesigns.cli", "gen", "pg", "--n", "3",
+                             "--q", "3", "--d", "1"], env=src_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the process writes a byte
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+def test_a_process_without_stdout_writes_its_file_and_exits_0(tmp_path):
+    # with descriptor 1 closed the interpreter sets sys.stdout to None
+    out = tmp_path / "pg.json"
+    done = subprocess.run([sys.executable, "-m", "addesigns.cli", "gen", "pg", "--n", "2",
+                           "--q", "2", "--d", "1", "--out", str(out)], env=src_env(),
+                          stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=60)
+    assert done.returncode == 0 and done.stderr == b""
+    assert read(out)["v"] == 7
+
+
+BLAS_PROBE = """
+import os
+import addesigns
+import numpy
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(tasks, os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+def test_importing_the_package_first_keeps_numpy_to_one_thread():
+    done = python("-c", BLAS_PROBE, OPENBLAS_NUM_THREADS=None)
+    assert done.returncode == 0, done.stderr
+    tasks, value = done.stdout.split()
+    if tasks == "None":
+        pytest.skip("no /proc/self/task to count the threads of")
+    assert (tasks, value) == ("1", "1")
+
+
+def test_a_preset_openblas_thread_count_wins():
+    done = python("-c", BLAS_PROBE, OPENBLAS_NUM_THREADS="2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[1] == "2"
 
 
 def test_info(tmp_path, capsys):

@@ -331,6 +331,14 @@ def test_table_checks_raise_typed_errors():
     assert gf.FieldSpec(2, 2, (1, 1, 3)).prim_poly == (1, 1, 1)
 
 
+@pytest.mark.parametrize("p,n", [(4, 2), (6, 1)])
+def test_field_spec_refuses_a_p_that_is_not_prime(p, n):
+    # no polynomial over Z_p passes the order test, so the search would
+    # run out of candidates
+    with pytest.raises(NotPrime, match="^%d is not a prime$" % p):
+        gf.FieldSpec(p, n)
+
+
 @pytest.mark.parametrize(
     "p,n,poly",
     [
