@@ -28,54 +28,39 @@ DEFAULT_STRONG_CAP = 10 ** 8  # estimated work (_strong_split): about a minute
 _STRONG_KEEP = 1 << 21  # subsets the kept half of the strong check may hold
 
 
-class AbelianGroup:
-    """Z_m^t with componentwise addition mod m."""
-
-    def __init__(self, m, t):
-        if m < 2 or t < 1:
-            raise GroupMismatch("need modulus >= 2 and rank >= 1")
-        self.m = m
-        self.t = t
-
-    @property
-    def order(self):
-        return self.m ** self.t
-
-    def __eq__(self, other):
-        return isinstance(other, AbelianGroup) and (self.m, self.t) == (other.m, other.t)
-
-    def __repr__(self):
-        return "Z_%d^%d" % (self.m, self.t)
-
-
 class Embedding:
-    """A point -> group-element assignment for a design.
+    """A point -> group-element assignment for a design, into Z_m^t with
+    componentwise addition mod m, t the width of the image.
 
     image is a (v x t) array of residues mod m in _residue_dtype(m); the
     modulus must be below 2^63, so that a residue fits an int64 and the
     sum of two fits a uint64.
     """
 
-    def __init__(self, group, image, kind, meta=None):
-        if group.m > np.iinfo(np.int64).max:
-            raise TooLarge("modulus %d is not below 2^63" % group.m)
-        def wrong_rank(sizes=None):
-            raise GroupMismatch("expected rank-%d vectors" % group.t)
+    def __init__(self, m, image, kind, meta=None):
+        if m > np.iinfo(np.int64).max:
+            raise TooLarge("modulus %d is not below 2^63" % m)
+        def ragged(sizes):
+            raise GroupMismatch("image rows have lengths %s" % sizes)
 
-        rows = integer_rows("image", image, wrong_rank)
-        if rows.shape[1] != group.t:
-            wrong_rank()
+        rows = integer_rows("image", image, ragged)
+        if m < 2 or not rows.shape[1]:
+            raise GroupMismatch("need modulus >= 2 and rank >= 1")
         # residues are copied straight to the residue dtype, other entries
         # reduced in place: in the int64 array made from a list, or in a
         # 64-bit copy of an array, uint64 if unsigned so that no entry wraps
-        if rows.size and (rows.min() < 0 or rows.max() >= group.m):
+        if rows.size and (rows.min() < 0 or rows.max() >= m):
             if rows is image:
                 rows = rows.astype(np.uint64 if rows.dtype.kind == "u" else np.int64)
-            np.remainder(rows, group.m, out=rows)
-        self.group = group
-        self.image = rows.astype(_residue_dtype(group.m))
+            np.remainder(rows, m, out=rows)
+        self.m = m
+        self.image = rows.astype(_residue_dtype(m))
         self.kind = kind
         self.meta = dict(meta or {})
+
+    @property
+    def t(self):
+        return self.image.shape[1]
 
     @property
     def injective(self):
@@ -84,7 +69,7 @@ class Embedding:
 
     def to_dict(self):
         return {
-            "group": {"m": self.group.m, "t": self.group.t},
+            "group": {"m": self.m, "t": self.t},
             "kind": self.kind,
             "image": self.image,
             "meta": self.meta,
@@ -101,12 +86,15 @@ class Embedding:
             raise MalformedDocument("'meta' must be an object")
         kind = document_field(d, "kind", str)
         try:
-            return cls(AbelianGroup(m, t), d.get("image"), kind, meta)
-        except GroupMismatch:  # rows of a length other than t
-            raise MalformedDocument("every image row must have length t = %d" % t) from None
+            emb = cls(m, d.get("image"), kind, meta)
+            if emb.t == t:
+                return emb
+        except GroupMismatch:  # ragged or empty rows
+            pass
+        raise MalformedDocument("every image row must have length t = %d" % t)
 
     def __repr__(self):
-        return "Embedding(%s, %r, v=%d)" % (self.group, self.kind, len(self.image))
+        return "Embedding(Z_%d^%d, %r, v=%d)" % (self.m, self.t, self.kind, len(self.image))
 
 
 class Report:
@@ -149,19 +137,15 @@ def _injective(emb):
     return emb
 
 
-def _additivity_label(group, v):
-    if group.order == v:
-        return "strict"
-    if group.order == v + 1:
-        return "almost-strict"
-    return None
+def _additivity_label(order, v):
+    return {v: "strict", v + 1: "almost-strict"}.get(order)
 
 
 def _complement_matrix_embedding(v, blocks, modulus, kind, meta):
     """Point i goes to the row that is 0 at the blocks through i, else 1."""
     image = np.ones((v, len(blocks)), dtype=np.uint8)
     image[blocks, np.arange(len(blocks))[:, None]] = 0
-    return _injective(Embedding(AbelianGroup(modulus, v), image, kind, meta))
+    return _injective(Embedding(modulus, image, kind, meta))
 
 
 def symmetric_strong_embedding(design):
@@ -231,7 +215,7 @@ def cyclic_embedding(ds, p, poly=None):
         "sigma_-1": sigma[-1].tolist(),
     }
     image = powers[sign * np.arange(v) % v]
-    return _injective(Embedding(AbelianGroup(p, t), image, "cyclic-smooth", meta))
+    return _injective(Embedding(p, image, "cyclic-smooth", meta))
 
 
 def sigma_product_is_zero(ds, p):
@@ -246,19 +230,22 @@ def sigma_product_is_zero(ds, p):
     return len(np.unique(difference_counts(ds.v, ds.elems) % p)) == 1
 
 
-def subspace_embedding(m, q, design, poly=None):
+def subspace_embedding(q, design, poly=None):
     """The power map of a subspace design: class of omega^i goes to the
-    coefficient vector of omega^(i(q-1)) in GF(q^m), flattened over Z_p.
+    coefficient vector of omega^(i(q-1)) in GF(q^m), flattened over Z_p,
+    where m is the degree with [m]_q = design.v.
 
     The design's points must be the exponent classes of GF(q^m)*/F_q*
     in order, i.e. point i represents the class of omega^i.
     """
+    m = 2
+    while bracket(m, q) < design.v:
+        m += 1
+    if bracket(m, q) != design.v:
+        raise SizeMismatch("%d is not the point count of any PG(m-1,%d)" % (design.v, q))
     field = gf.make_field(q, m, poly)
-    v = bracket(m, q)
-    if design.v != v:
-        raise SizeMismatch("design has %d points, GF(%d^%d) classes: %d" % (design.v, q, m, v))
-    image = gf.digits(field.powers(v, q - 1), field.n, field.p)  # row i: omega^(i(q-1))
-    emb = _injective(Embedding(AbelianGroup(field.p, field.n), image, "subspace-smooth",
+    image = gf.digits(field.powers(design.v, q - 1), field.n, field.p)  # row i: omega^(i(q-1))
+    emb = _injective(Embedding(field.p, image, "subspace-smooth",
                                {"q": q, "m": m, "poly": list(field.prim_poly)}))
     bad = next(_nonzero_block_sums(emb.image, design.blocks, field.p), None)
     if bad is not None:
@@ -278,9 +265,8 @@ def ag_identity_embedding(n, q):
     # the residues and their sorted row keys (tracemalloc peak of
     # ag_identity_embedding(8, 5): 32 bytes per point)
     chunks.refuse_beyond_memory("AG(%d,%d)" % (n, q), q ** n, "points", 24 + 2 * alpha * n)
-    return _injective(Embedding(AbelianGroup(p, alpha * n),
-                                gf.digits(np.arange(q ** n), alpha * n, p),
-                                "identity", {"n": n, "q": q}))
+    return _injective(Embedding(p, gf.digits(np.arange(q ** n), alpha * n, p), "identity",
+                                {"n": n, "q": q}))
 
 
 def verify_embedding(design, emb):
@@ -288,7 +274,7 @@ def verify_embedding(design, emb):
     if len(emb.image) != design.v:
         raise SizeMismatch("embedding covers %d points, design has %d" % (len(emb.image), design.v))
     failures = [[i, total.tolist()]
-                for i, total in _nonzero_block_sums(emb.image, design.blocks, emb.group.m)]
+                for i, total in _nonzero_block_sums(emb.image, design.blocks, emb.m)]
     return Report(
         injective=emb.injective,
         additive=not failures,
@@ -296,7 +282,7 @@ def verify_embedding(design, emb):
         zero_sum_subsets=None,
         blocks=len(design.blocks),
         failures=failures,
-        label=_additivity_label(emb.group, design.v),
+        label=_additivity_label(emb.m ** emb.t, design.v),
     )
 
 
@@ -497,8 +483,8 @@ def verify_strong(design, emb, cap=DEFAULT_STRONG_CAP):
     """
     base = verify_embedding(design, emb)
     k = design.blocks.shape[1]
-    m = emb.group.m
-    work, a = _strong_split(design.v, k, m, _key_coordinates(m, emb.group.t))
+    m = emb.m
+    work, a = _strong_split(design.v, k, m, _key_coordinates(m, emb.t))
     if work > cap:
         return base
     if work > np.iinfo(np.int64).max:

@@ -165,21 +165,6 @@ def _set_or_development(ds, args):
     return ds if args.format == "diffset" else designs.develop(ds)
 
 
-def _embed_subspace(args):
-    design = _design_from_doc(_load(args.input))
-    m = _infer_field_degree(design.v, args.q)
-    return additivity.subspace_embedding(m, args.q, design, args.poly)
-
-
-def _infer_field_degree(v, q):
-    m = 2
-    while geometry.bracket(m, q) < v:
-        m += 1
-    if geometry.bracket(m, q) != v:
-        raise SizeMismatch("%d is not the point count of any PG(m-1,%d)" % (v, q))
-    return m
-
-
 def cmd_verify(args):
     # The embedding is read first, while the heap is smallest.  It is not
     # always the larger document (Singer(32): a 406 KB design, a 156 KB
@@ -282,7 +267,9 @@ def build_parser():
     _leaf(methods, "pg", "the strong embedding of PG_d(n,q)",
           lambda a: additivity.pg_strong_embedding(a.n, a.q, a.d), "n", "q", "d")
     subspace = _leaf(methods, "subspace", "the power-map embedding of PG_d(m-1,q) with "
-                     "cyclic points", _embed_subspace, "q", input="design file")
+                     "cyclic points", lambda a: additivity.subspace_embedding(
+                         a.q, _design_from_doc(_load(a.input)), a.poly),
+                     "q", input="design file")
     for leaf in (pg, singer, cyclic, subspace):
         leaf.add_argument("--poly", type=_parse_ints,
                           help="field polynomial coefficients, high degree first")

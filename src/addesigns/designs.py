@@ -14,6 +14,7 @@ from . import chunks, gf
 from .errors import (
     BadModulus,
     EmptyDesign,
+    InvariantViolated,
     MalformedDocument,
     NotDifferenceSet,
     NotTwoDesign,
@@ -86,10 +87,18 @@ class Design:
         blocks = integer_rows("blocks", blocks, _unequal_block_sizes)
         if blocks.size and (blocks.min() < 0 or blocks.max() >= v):
             raise NotTwoDesign("block index out of range")
-        blocks = blocks.astype(_point_dtype(v))  # a copy the sort may reorder
+        self._take(v, blocks.astype(_point_dtype(v)), points)  # a copy the sort may reorder
+
+    def _take(self, v, blocks, points=None):
+        """Keep blocks, an array in _point_dtype(v) of points below v that
+        no caller holds: sort its rows in place, and refuse a repeated point
+        a chunk of rows at a time, at one bool an entry."""
         blocks.sort(axis=1)
-        if (blocks[:, 1:] == blocks[:, :-1]).any():
-            raise NotTwoDesign("repeated point inside a block")
+        step = chunks.rows_per_chunk(max(1, blocks.shape[1]))
+        for lo in range(0, len(blocks), step):
+            chunk = blocks[lo:lo + step]
+            if (chunk[:, 1:] == chunk[:, :-1]).any():
+                raise NotTwoDesign("repeated point inside a block")
         self.v = v
         self.blocks = blocks
         self.points = list(points) if points is not None else [str(i) for i in range(v)]
@@ -234,16 +243,37 @@ class DifferenceSet:
         return "DifferenceSet(%d, %d, %d)" % (self.v, self.k, self.lam)
 
 
+_FFT_FROM = 1 << 16  # the least v whose difference counts are correlated by FFT
+
+
 def difference_counts(v, elems):
     """counts[r]: the ordered pairs (a, b) of elems with a - b = r mod v.
 
-    One Kronecker-substitution product: the multiplicities of elems mod v
-    and their reverse, packed as integers with one slot per residue,
-    multiply to the polynomial whose coefficient v - 1 + d counts the
-    pairs with a - b = d, -v < d < v.  No coefficient exceeds the central
-    one, the sum of the squared multiplicities, which sizes the slots.
+    The multiplicities of elems mod v, correlated with themselves, count
+    the pairs with a - b = d for -v < d < v, and counts[r] adds the lags r
+    and r - v.  From v = _FFT_FROM on, CPython's superlinear product of
+    the integers below takes seconds (3.2 s at v = 300007), so while the
+    rounding error bound eps * log2(2N) * n^2 of n elements stays below
+    1/4, the lags are irfft(|rfft|^2) over N, the least power of two of at
+    least 2v - 1, rounded, and checked: the counts sum to n^2, and
+    counts[0] is the sum of the squared multiplicities.  Otherwise, and
+    as the exact oracle, one Kronecker-substitution product: the
+    multiplicities and their reverse, packed as integers with one slot
+    per residue, multiply to the polynomial whose coefficient v - 1 + d
+    is lag d.  No coefficient exceeds the central one, the sum of the
+    squared multiplicities, which sizes the slots.
     """
     mult = np.bincount(np.asarray(elems, dtype=np.int64) % v, minlength=v)
+    n = int(mult.sum())
+    size = 1 << (2 * v - 2).bit_length()  # a power of two >= 2v - 1: no lag wraps
+    if v >= _FFT_FROM and np.finfo(float).eps * size.bit_length() * n * n < 0.25:
+        spectrum = np.fft.rfft(mult, size)
+        spectrum = spectrum.real ** 2 + spectrum.imag ** 2
+        counts = np.rint(np.fft.irfft(spectrum, size)[:v]).astype(np.int64)  # lags 0..v-1
+        counts[1:] += counts[:0:-1]  # lag d - v is lag v - d
+        if counts.sum() != n * n or counts[0] != mult @ mult:
+            raise InvariantViolated("FFT difference counts of Z_%d do not add up" % v)
+        return counts
     slot = np.min_scalar_type(int(mult @ mult)).newbyteorder("<")
     packed = mult.astype(slot)
     prod = int.from_bytes(packed.tobytes(), "little")
@@ -286,15 +316,23 @@ def develop(ds):
     ds.elems, taken again here (one difference_counts product, O(v) words),
     and no pair of its blocks is counted.
     """
-    sums = np.min_scalar_type(2 * ds.v - 2)  # d + i, 0 <= d, i < v
-    # the blocks, the design's sorted copy and the bools of its repeat check
-    # (tracemalloc peak of the Paley(2003) development: 5.0 bytes an entry)
-    row_bytes = ds.k * (sums.itemsize + _point_dtype(ds.v).itemsize + 1)
-    chunks.refuse_beyond_memory("the development of %r" % ds, ds.v, "blocks", row_bytes)
+    # the blocks are the one array of a block's size: filled, and checked
+    # by the design, a chunk of rows at a time (tracemalloc peak of the
+    # Paley(2003) development: 2.1 bytes an entry)
+    points = _point_dtype(ds.v)
+    chunks.refuse_beyond_memory("the development of %r" % ds, ds.v, "blocks",
+                                ds.k * points.itemsize)
     certified = validate_difference_set(ds.v, ds.elems)
-    blocks = np.add.outer(np.arange(ds.v, dtype=sums), np.array(certified.elems, sums))
-    blocks %= ds.v
-    design = Design(ds.v, blocks)
+    blocks = np.empty((ds.v, ds.k), points)
+    sums = np.min_scalar_type(2 * ds.v - 2)  # d + i, 0 <= d, i < v
+    elems = np.array(certified.elems, sums)
+    step = chunks.rows_per_chunk(2 * ds.k * sums.itemsize)  # the sums and the sums - v
+    for lo in range(0, ds.v, step):
+        total = np.add.outer(np.arange(lo, min(ds.v, lo + step), dtype=sums), elems)
+        # s mod v for unsigned s < 2v: where s < v, s - v wraps above s
+        np.minimum(total, total - ds.v, out=blocks[lo:lo + step])
+    design = Design.__new__(Design)
+    design._take(ds.v, blocks)
     design.k = design.r = certified.k
     design.lam = certified.lam
     design.b = ds.v
@@ -305,7 +343,7 @@ def develop(ds):
 def paley_diffset(v):
     """Nonzero quadratic residues mod a prime v = 3 (mod 4)."""
     # the set of squares and its certification take about 100 bytes per
-    # residue (tracemalloc peak of paley_diffset(1000003): 103 MB)
+    # residue (tracemalloc peak of paley_diffset(1000003): 90 MB)
     chunks.refuse_beyond_memory("Paley(%d)" % v, v, "residues", 100)
     if not gf.is_prime(v) or v % 4 != 3:
         raise BadModulus("%d is not a prime congruent to 3 mod 4" % v)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from addesigns import additivity, chunks, geometry, gf
 from addesigns.additivity import (
-    AbelianGroup,
     Embedding,
     Report,
     ag_identity_embedding,
@@ -66,31 +65,27 @@ def rows(array):
     return [tuple(r) for r in array.tolist()]
 
 
-def block_failures(group, elems):
-    """What the block-sum kernel reports for the single block {elems}."""
-    emb = Embedding(group, elems, "test")
+def block_failures(m, elems):
+    """What the block-sum kernel reports for the single block {elems} of Z_m^t."""
+    emb = Embedding(m, elems, "test")
     block = np.arange(len(elems)).reshape(1, -1)
     return [(i, s.tolist())
-            for i, s in additivity._nonzero_block_sums(emb.image, block, group.m)]
+            for i, s in additivity._nonzero_block_sums(emb.image, block, m)]
 
 
 def test_zero_sum_basic():
-    g = AbelianGroup(3, 3)
-    assert block_failures(g, [(0, 0, 0)]) == []
-    assert block_failures(g, [(0, 0, 1), (1, 0, 0)]) == [(0, [1, 0, 1])]
-    with pytest.raises(GroupMismatch):
-        block_failures(g, [(0, 0)])  # a rank-2 element has no place in Z_3^3
+    assert block_failures(3, [(0, 0, 0)]) == []
+    assert block_failures(3, [(0, 0, 1), (1, 0, 0)]) == [(0, [1, 0, 1])]
 
 
 def test_zero_sum_quartic_block():
-    g = AbelianGroup(3, 4)
-    assert block_failures(g, [(0, 0, 0, 1), (2, 2, 1, 0), (0, 0, 0, 2), (1, 1, 2, 0)]) == []
+    assert block_failures(3, [(0, 0, 0, 1), (2, 2, 1, 0), (0, 0, 0, 2), (1, 1, 2, 0)]) == []
 
 
 def test_symmetric_strong_fano():
     fano = geometry.pg_design(2, 2, 1)
     emb = symmetric_strong_embedding(fano)
-    assert emb.group == AbelianGroup(2, 7)
+    assert (emb.m, emb.t) == (2, 7)
     report = verify_strong(fano, emb)
     assert report.injective and report.additive
     assert report.strong == "pass"
@@ -100,7 +95,7 @@ def test_symmetric_strong_fano():
 def test_symmetric_strong_singer_13():
     d = develop(validate_difference_set(13, [0, 1, 3, 9]))
     emb = symmetric_strong_embedding(d)
-    assert emb.group == AbelianGroup(3, 13)
+    assert (emb.m, emb.t) == (3, 13)
     report = verify_strong(d, emb)
     assert report.strong == "pass" and report.zero_sum_subsets == 13
 
@@ -109,7 +104,7 @@ def test_symmetric_strong_pg232():
     d = geometry.pg_design(3, 2, 2)
     assert (d.v, d.k, d.lam) == (15, 7, 3)
     emb = symmetric_strong_embedding(d)
-    assert emb.group == AbelianGroup(4, 15)
+    assert (emb.m, emb.t) == (4, 15)
     report = verify_strong(d, emb)
     assert report.strong == "pass" and report.zero_sum_subsets == 15
 
@@ -131,7 +126,7 @@ def test_symmetric_strong_rejects_degenerate():
 def test_cyclic_embedding_plane3_golden():
     ds = validate_difference_set(13, [0, 1, 3, 9])
     emb = cyclic_embedding(ds, 3, poly=[1, 2, 0, 1])
-    assert emb.group == AbelianGroup(3, 3)
+    assert (emb.m, emb.t) == (3, 3)
     assert tuple(emb.meta["sigma_1"]) == (0, 0, 2)
     assert tuple(emb.meta["sigma_-1"]) == (0, 0, 0)
     assert emb.meta["sign"] == -1
@@ -149,7 +144,7 @@ def test_cyclic_embedding_plane3_golden():
 def test_cyclic_embedding_mersenne_7():
     ds = validate_difference_set(7, [0, 1, 3])
     emb = cyclic_embedding(ds, 2)
-    assert emb.group == AbelianGroup(2, 3)
+    assert (emb.m, emb.t) == (2, 3)
     report = verify_embedding(develop(ds), emb)
     assert report.additive and report.injective
     assert report.label == "almost-strict"
@@ -167,13 +162,13 @@ def test_cyclic_embedding_bad_prime():
 def test_pg_strong_fano_group_matches_symmetric():
     emb = pg_strong_embedding(2, 2, 1)
     sym = symmetric_strong_embedding(geometry.pg_design(2, 2, 1))
-    assert emb.group == sym.group == AbelianGroup(2, 7)
+    assert (emb.m, emb.t) == (sym.m, sym.t) == (2, 7)
 
 
 def test_pg_strong_pg132():
     d = geometry.pg_design(3, 2, 1)
     emb = pg_strong_embedding(3, 2, 1)
-    assert emb.group == AbelianGroup(2, 15)
+    assert (emb.m, emb.t) == (2, 15)
     report = verify_strong(d, emb)
     assert report.strong == "pass"
     assert report.zero_sum_subsets == 35 and report.blocks == 35
@@ -181,8 +176,8 @@ def test_pg_strong_pg132():
 
 def test_subspace_embedding_pg133_golden():
     d = geometry.pg_design_cyclic(3, 3, 1, poly=[1, 0, 0, 1, 2])
-    emb = subspace_embedding(4, 3, d, poly=[1, 0, 0, 1, 2])
-    assert emb.group == AbelianGroup(3, 4)
+    emb = subspace_embedding(3, d, poly=[1, 0, 0, 1, 2])
+    assert (emb.m, emb.t) == (3, 4)
     base_blocks = {
         (0, 1, 4, 13): {"0001", "0100", "0111", "0121"},
         (0, 2, 17, 24): {"0001", "0021", "0122", "0222"},
@@ -200,7 +195,7 @@ def test_subspace_embedding_pg133_golden():
 def test_subspace_embedding_q2_is_field_identity():
     # q = 2: the power map is the identity on GF(8)*
     d = geometry.pg_design_cyclic(2, 2, 1)
-    emb = subspace_embedding(3, 2, d)
+    emb = subspace_embedding(2, d)
     field = gf.make_field(2, 3)
     assert rows(emb.image) == rows(gf.digits(field._exp, 3, 2))
     assert verify_embedding(d, emb).additive
@@ -208,8 +203,22 @@ def test_subspace_embedding_q2_is_field_identity():
 
 def test_subspace_embedding_size_mismatch():
     d = geometry.pg_design_cyclic(2, 2, 1)
-    with pytest.raises(SizeMismatch):
-        subspace_embedding(4, 3, d)
+    with pytest.raises(SizeMismatch, match=r"^7 is not the point count of any PG\(m-1,3\)$"):
+        subspace_embedding(3, d)
+
+
+SUBSPACE_CASES = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9)
+                  for m in range(3, 13) if q ** m <= 2 ** 12]
+
+
+@pytest.mark.parametrize("q, m", SUBSPACE_CASES, ids=["q%d-m%d" % c for c in SUBSPACE_CASES])
+def test_subspace_embedding_finds_m_from_the_point_count(q, m):
+    design = geometry.pg_design_cyclic(m - 1, q, 1)
+    emb = subspace_embedding(q, design)
+    field = gf.make_field(q, m)
+    assert emb.meta["m"] == m and emb.meta["poly"] == list(field.prim_poly)
+    assert (emb.m, emb.t) == (field.p, field.n)
+    assert np.array_equal(emb.image, gf.digits(field.powers(design.v, q - 1), field.n, field.p))
 
 
 def test_verify_embedding_detects_perturbation():
@@ -217,7 +226,7 @@ def test_verify_embedding_detects_perturbation():
     field = gf.make_field(2, 3)
     image = gf.digits(field._exp, 3, 2)
     image[3] = (image[3] + 1) % 2
-    emb = Embedding(AbelianGroup(2, 3), image, "identity")
+    emb = Embedding(2, image, "identity")
     report = verify_embedding(fano, emb)
     assert not report.additive
     assert report.failures
@@ -237,7 +246,7 @@ def test_strong_vs_smooth_separation_pg133():
     # the power-map embedding of PG_1(3,3) is smooth, never strong:
     # extra zero-sum 4-subsets exist beyond the 130 lines
     d = geometry.pg_design_cyclic(3, 3, 1, poly=[1, 0, 0, 1, 2])
-    emb = subspace_embedding(4, 3, d, poly=[1, 0, 0, 1, 2])
+    emb = subspace_embedding(3, d, poly=[1, 0, 0, 1, 2])
     report = verify_strong(d, emb)
     assert report.additive
     assert report.strong == "fail"
@@ -324,7 +333,7 @@ def test_ag_identity_embedding_small():
 def test_ag_identity_embedding_prime_power_q():
     d = geometry.ag_design(2, 4, 1)
     emb = ag_identity_embedding(2, 4)
-    assert emb.group == AbelianGroup(2, 4)
+    assert (emb.m, emb.t) == (2, 4)
     assert verify_embedding(d, emb).additive
 
 
@@ -335,7 +344,7 @@ def test_embedding_json_roundtrip():
     assert doc["image"] is emb.image  # the array itself, not a list
     parsed = json.loads(json.dumps(doc, default=lambda a: a.tolist()))
     for back in (Embedding.from_dict(doc), Embedding.from_dict(parsed)):
-        assert back.group == emb.group
+        assert (back.m, back.t) == (emb.m, emb.t)
         assert rows(back.image) == rows(emb.image)
         assert back.meta["sign"] == emb.meta["sign"]
 
@@ -350,18 +359,18 @@ def test_ag_identity_embedding_beyond_memory_is_refused(monkeypatch):
 
 
 def test_embedding_reduces_residues_and_bounds_the_modulus():
-    emb = Embedding(AbelianGroup(5, 2), [(7, -1), (0, 10)], "test")
+    emb = Embedding(5, [(7, -1), (0, 10)], "test")
     assert rows(emb.image) == [(2, 4), (0, 0)]
-    Embedding(AbelianGroup(2 ** 63 - 1, 1), [(2 ** 63 - 2,)], "test")
+    Embedding(2 ** 63 - 1, [(2 ** 63 - 2,)], "test")
     with pytest.raises(TooLarge):
-        Embedding(AbelianGroup(2 ** 63, 1), [(0,)], "test")
+        Embedding(2 ** 63, [(0,)], "test")
 
 
 def test_embedding_reduces_uint64_entries_beyond_int64_exactly():
     big = [2 ** 64 - 1, 2 ** 63, 2 ** 63 + 12345, 7]
     image = np.array([[x] for x in big], np.uint64)
     for m in (5, 2 ** 61 - 1, 2 ** 63 - 1):
-        emb = Embedding(AbelianGroup(m, 1), image, "test")
+        emb = Embedding(m, image, "test")
         assert emb.image.ravel().tolist() == [x % m for x in big]
     assert image.ravel().tolist() == big
 
@@ -377,20 +386,53 @@ def test_embedding_from_dict_reduces_uint64_entries_beyond_int64_exactly():
 @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
 def test_embedding_reduces_a_copy_of_the_callers_array(dtype):
     image = np.array([[7], [3], [12]], dtype)
-    assert Embedding(AbelianGroup(5, 1), image, "test").image.ravel().tolist() == [2, 3, 2]
+    assert Embedding(5, image, "test").image.ravel().tolist() == [2, 3, 2]
     assert image.ravel().tolist() == [7, 3, 12]
 
 
 def test_embedding_refuses_ragged_rows():
     # numpy's ValueError (inhomogeneous shape) escaped
-    with pytest.raises(GroupMismatch, match="expected rank-2 vectors"):
-        Embedding(AbelianGroup(5, 2), [[0, 1], [1]], "t")
+    with pytest.raises(GroupMismatch, match=r"image rows have lengths \[1, 2\]"):
+        Embedding(5, [[0, 1], [1]], "t")
+
+
+def test_an_embeddings_rank_is_the_width_of_its_image():
+    emb = Embedding(5, [[0, 1, 2], [3, 4, 0]], "test")
+    assert (emb.m, emb.t) == (5, 3)
+    assert emb.to_dict()["group"] == {"m": 5, "t": 3}
+    assert repr(emb) == "Embedding(Z_5^3, 'test', v=2)"
+    assert Embedding(7, np.zeros((0, 4), np.int64), "test").t == 4
+
+
+@pytest.mark.parametrize("m, image", [
+    (5, []),
+    (5, [[], []]),
+    (5, np.zeros((3, 0), np.int64)),
+    (1, [[0]]),
+    (-3, [[0]]),
+], ids=["empty", "zero-width", "zero-width-array", "m1", "m-3"])
+def test_an_embedding_without_a_rank_or_modulus_is_refused(m, image):
+    with pytest.raises(GroupMismatch):
+        Embedding(m, image, "test")
+
+
+@pytest.mark.parametrize("group, image", [
+    ({"m": 5, "t": 2}, [[0, 1, 2]]),
+    ({"m": 5, "t": 3}, [[0, 1], [1]]),
+    ({"m": 5, "t": 1}, []),
+    ({"m": 5, "t": 1}, [[], []]),
+], ids=["wider", "ragged", "empty", "zero-width"])
+def test_a_document_whose_rows_are_not_t_wide_is_malformed(group, image):
+    doc = {"group": group, "kind": "test", "image": image}
+    with pytest.raises(MalformedDocument, match="every image row must have length t = %d"
+                       % group["t"]):
+        Embedding.from_dict(doc)
 
 
 def test_embedding_of_a_list_beyond_int64_is_too_large():
     for entry in (2 ** 63, 2 ** 64 - 1, -2 ** 63 - 1):
         with pytest.raises(TooLarge, match="'image' has entries beyond 64-bit integers"):
-            Embedding(AbelianGroup(5, 1), [[0], [entry]], "test")
+            Embedding(5, [[0], [entry]], "test")
 
 
 @pytest.mark.parametrize("image, message", [
@@ -401,7 +443,7 @@ def test_embedding_of_a_list_beyond_int64_is_too_large():
 def test_embedding_refuses_entries_that_are_not_integers(image, message):
     # they were truncated: [[0.5], [6.7]] read as the image [[0], [1]]
     with pytest.raises(MalformedDocument, match=message):
-        Embedding(AbelianGroup(5, 1), image, "test")
+        Embedding(5, image, "test")
 
 
 @settings(max_examples=100, deadline=None)
@@ -416,15 +458,15 @@ def test_embedding_of_an_integer_array_matches_the_list_path(m, data, dtype):
                | st.integers(0, min(m - 1, info.max)))
     image = np.array(data.draw(st.lists(st.lists(entries, min_size=t, max_size=t),
                                         min_size=v, max_size=v)), dtype)
-    emb = Embedding(AbelianGroup(m, t), image, "test")
-    want = Embedding(AbelianGroup(m, t), image.tolist(), "test").image
+    emb = Embedding(m, image, "test")
+    want = Embedding(m, image.tolist(), "test").image
     assert emb.image.dtype == want.dtype and emb.image.tolist() == want.tolist()
     assert not np.shares_memory(emb.image, image)
 
 
 def test_injective_compares_whole_rows():
-    assert Embedding(AbelianGroup(3, 2), [(0, 1), (1, 0), (1, 1)], "test").injective
-    assert not Embedding(AbelianGroup(3, 2), [(0, 1), (1, 0), (0, 1)], "test").injective
+    assert Embedding(3, [(0, 1), (1, 0), (1, 1)], "test").injective
+    assert not Embedding(3, [(0, 1), (1, 0), (0, 1)], "test").injective
 
 
 def test_cyclic_embedding_without_vanishing_sigma_is_typed():
@@ -460,7 +502,7 @@ def test_sigma_product_matches_double_loop_reference():
 def reference_verify_embedding(design, emb):
     """Sum every block's image coordinate by coordinate in Python."""
     image = rows(emb.image)
-    m, t = emb.group.m, emb.group.t
+    m, t = emb.m, emb.t
     failures = []
     for idx, blk in enumerate(rows(design.blocks)):
         total = [0] * t
@@ -511,12 +553,12 @@ def test_additive_embeddings_match_reference(case, chunk):
 @given(st.data())
 def test_one_changed_coordinate_fails_exactly_the_blocks_through_it(chunk, data):
     design, emb = data.draw(st.sampled_from(ADDITIVE))
-    m, t = emb.group.m, emb.group.t
+    m, t = emb.m, emb.t
     x = data.draw(st.integers(0, design.v - 1))
     j = data.draw(st.integers(0, t - 1))
     image = emb.image.tolist()
     image[x][j] = (image[x][j] + data.draw(st.integers(1, m - 1))) % m
-    changed = Embedding(emb.group, image, emb.kind)
+    changed = Embedding(m, image, emb.kind)
     with mock.patch.object(chunks, "BUDGET", chunk):
         report = verify_embedding(design, changed)
     assert report.to_dict() == reference_verify_embedding(design, changed).to_dict()
@@ -528,7 +570,7 @@ def test_subspace_embedding_names_the_first_block_that_is_no_subspace():
     # the image depends only on the field, and the vector-labelled Fano
     # lines are not subspaces in the cyclic coordinates
     vector = geometry.pg_design(2, 2, 1)
-    emb = subspace_embedding(3, 2, geometry.pg_design_cyclic(2, 2, 1))
+    emb = subspace_embedding(2, geometry.pg_design_cyclic(2, 2, 1))
     first = reference_verify_embedding(vector, emb).failures[0][0]
     with pytest.raises(NotSubspaceBlocks, match="block %d is not" % first):
-        subspace_embedding(3, 2, vector)
+        subspace_embedding(2, vector)

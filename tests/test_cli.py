@@ -132,6 +132,29 @@ def test_embed_subspace_pg133(tmp_path):
     assert doc["group"] == {"m": 3, "t": 4}
 
 
+def test_embed_subspace_of_no_pg_point_count_exits_2(tmp_path, capsys):
+    design = tmp_path / "fano.json"  # v = 7, which is [3]_2 but no [m]_3
+    assert main(["gen", "pg", "--n", "2", "--q", "2", "--d", "1", "--out", str(design)]) == 0
+    rc, err = _exit_and_error(capsys, ["embed", "subspace", str(design), "--q", "3"])
+    assert (rc, err) == (2, "error: 7 is not the point count of any PG(m-1,3)\n")
+
+
+def readme_commands():
+    """The addesigns lines of README's sh example block, in order."""
+    block = re.search(r"```sh\n(# the projective plane.*?)```", (ROOT / "README.md").read_text(),
+                      re.S).group(1)
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("addesigns ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        want = 1 if argv == ["verify", "plane3.json", "plane3.emb.json", "--strong"] else 0
+        assert (main(argv), argv) == (want, argv), capsys.readouterr().err
+
+
 def test_embed_symmetric_rejects_nonsymmetric(tmp_path, capsys):
     design = tmp_path / "pg.json"
     assert main(["gen", "pg", "--n", "3", "--q", "2", "--d", "1",
@@ -408,7 +431,9 @@ def test_no_verb_imports_logging(loaded_by_every_verb):
 
 def test_no_verb_loads_the_optional_numpy_submodules(loaded_by_every_verb):
     # numpy loads these only on first use; an FFT difference count or a
-    # numpy.ma set routine would give back the peak RSS the stages saved
+    # numpy.ma set routine would give back the peak RSS the stages saved.
+    # difference_counts correlates by FFT only from v = designs._FFT_FROM,
+    # above every benchmark instance (Paley(10007) is the largest)
     assert loaded_by_every_verb == []
 
 
@@ -586,7 +611,7 @@ def embeddings(draw):
     entries = st.integers(-2 ** 63, 2 ** 63 - 1)
     image = draw(st.lists(st.lists(entries, min_size=t, max_size=t), min_size=v, max_size=v))
     meta = draw(st.fixed_dictionaries({}, optional=META))
-    return additivity.Embedding(additivity.AbelianGroup(m, t), image, draw(st.text(max_size=8)), meta)
+    return additivity.Embedding(m, image, draw(st.text(max_size=8)), meta)
 
 
 def reports():
@@ -626,7 +651,7 @@ def test_every_document_round_trips_through_emit(tmp_path, obj, budget):
         assert back.blocks.tolist() == obj.blocks.tolist()
     elif isinstance(obj, additivity.Embedding):
         back = additivity.Embedding.from_dict(parsed)
-        assert (back.group, back.kind, back.meta) == (obj.group, obj.kind, obj.meta)
+        assert (back.m, back.t, back.kind, back.meta) == (obj.m, obj.t, obj.kind, obj.meta)
         assert back.image.dtype == obj.image.dtype and np.array_equal(back.image, obj.image)
     elif isinstance(obj, designs.DifferenceSet):
         back = designs.DifferenceSet.from_dict(parsed)

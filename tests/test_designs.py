@@ -20,6 +20,7 @@ from addesigns.designs import (
 from addesigns.errors import (
     BadModulus,
     EmptyDesign,
+    InvariantViolated,
     MalformedDocument,
     NotDifferenceSet,
     NotTwoDesign,
@@ -57,6 +58,16 @@ def test_validate_rejects_unequal_sizes():
 def test_design_rejects_bad_blocks(blocks, message):
     with pytest.raises(NotTwoDesign, match=message):
         Design(4, blocks)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, chunks.BUDGET])
+def test_design_finds_a_repeated_point_in_any_chunk_of_rows(budget):
+    blocks = np.tile(np.arange(3), (20, 1))
+    blocks[-1, 2] = 1
+    with mock.patch.object(chunks, "BUDGET", budget):
+        assert len(Design(3, blocks[:-1]).blocks) == 19
+        with pytest.raises(NotTwoDesign, match="repeated point inside a block"):
+            Design(3, blocks)
 
 
 @pytest.mark.parametrize("blocks, message", [
@@ -155,6 +166,41 @@ def test_difference_counts_match_the_loop_on_multisets(case):
 def test_difference_counts_match_the_loop(v, elems):
     expected = reference_difference_counts(v, elems)
     assert designs.difference_counts(v, elems).tolist() == expected.tolist()
+
+
+def kronecker_difference_counts(v, elems):
+    """difference_counts by its Kronecker product at any v."""
+    with mock.patch.object(designs, "_FFT_FROM", float("inf")):
+        return designs.difference_counts(v, elems)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 2000).flatmap(
+    lambda v: st.tuples(st.just(v), st.lists(st.integers(-2 * v, 2 * v), max_size=3 * v))))
+def test_fft_difference_counts_match_the_kronecker_product(case):
+    v, elems = case
+    with mock.patch.object(designs, "_FFT_FROM", 2):
+        got = designs.difference_counts(v, elems)
+    assert got.dtype == np.int64
+    assert got.tolist() == kronecker_difference_counts(v, elems).tolist()
+
+
+def test_paley100003_counts_are_correlated_by_fft():
+    elems = paley_diffset(100003).elems
+    rfft = mock.Mock(side_effect=np.fft.rfft)
+    with mock.patch.object(designs.np.fft, "rfft", rfft):
+        got = designs.difference_counts(100003, elems)
+    assert rfft.called
+    assert got.tolist() == kronecker_difference_counts(100003, elems).tolist()
+    assert got[0] == 50001 and set(got[1:].tolist()) == {25000}
+
+
+def test_fft_difference_counts_are_checked():
+    irfft = np.fft.irfft
+    with mock.patch.object(designs.np.fft, "irfft", lambda *a: irfft(*a) + 0.7):
+        with mock.patch.object(designs, "_FFT_FROM", 2):
+            with pytest.raises(InvariantViolated, match="FFT difference counts of Z_13"):
+                designs.difference_counts(13, [0, 1, 3, 9])
 
 
 def test_develop_singer_13():

@@ -71,12 +71,13 @@ def test_singer32_development_peaks_below_0_8_mib():
     assert made[0].lam == 1 and made[0].blocks.dtype == np.uint16
 
 
-def test_paley2003_development_peaks_below_12_mib():
+def test_paley2003_development_peaks_below_5_mib():
     # 36.6 MiB when validate_2design counted its pairs; 9.6 MiB, 5 bytes an
-    # entry, for the blocks, their sorted copy and the repeat check's bools
+    # entry, when the blocks were built in the sums' dtype, copied to the
+    # design and repeat-checked at once; now one array of 2-byte points
     ds = paley_diffset(2003)
     made = []
-    assert peak_bytes(lambda: made.append(develop(ds))) < 12 * MiB
+    assert peak_bytes(lambda: made.append(develop(ds))) < min(5 * MiB, 2.5 * ds.v * ds.k)
     assert (made[0].k, made[0].lam) == (1001, 500)
 
 
@@ -113,8 +114,8 @@ def test_reading_an_unreduced_list_image_peaks_below_1_2_mib():
     emb = pg_strong_embedding(4, 4, 1)
     image = (emb.image.astype(np.int64) - 1).tolist()
     embs = []
-    assert peak_bytes(lambda: embs.append(Embedding(emb.group, image, "test"))) < 1.2 * MiB
-    assert embs[0].image.tolist() == np.mod(image, emb.group.m).tolist()
+    assert peak_bytes(lambda: embs.append(Embedding(emb.m, image, "test"))) < 1.2 * MiB
+    assert embs[0].image.tolist() == np.mod(image, emb.m).tolist()
 
 
 def test_reading_the_pg441_design_peaks_below_1_mib(tmp_path):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from addesigns import additivity, chunks, geometry
 from addesigns.additivity import (
-    AbelianGroup,
     Embedding,
     Report,
     _injective,
@@ -37,7 +36,7 @@ def reference_verify_strong(design, emb):
     base = verify_embedding(design, emb)
     k = design.k if design.validated else len(design.blocks[0])
     v = design.v
-    m, t = emb.group.m, emb.group.t
+    m, t = emb.m, emb.t
     image = emb.image.tolist()
     zero = (0,) * t
     found = []
@@ -132,7 +131,7 @@ def lookup_verify_strong(design, emb):
     """The strong check by (k-1)-subset lookup, with no cap."""
     base = verify_embedding(design, emb)
     blocks = set(map(tuple, design.blocks.tolist()))
-    found = list(reference_zero_sum_subsets(emb.image, emb.group.m, design.blocks.shape[1]))
+    found = list(reference_zero_sum_subsets(emb.image, emb.m, design.blocks.shape[1]))
     base.strong = "pass" if set(found) == blocks and len(found) == len(blocks) else "fail"
     base.zero_sum_subsets = len(found)
     return base
@@ -154,7 +153,7 @@ def design_and_embedding(draw):
     t = draw(st.integers(1, 4))
     row = st.tuples(*[st.integers(0, m - 1)] * t)
     image = draw(st.lists(row, min_size=design.v, max_size=design.v))
-    return design, Embedding(AbelianGroup(m, t), image, "random")
+    return design, Embedding(m, image, "random")
 
 
 @settings(max_examples=150, deadline=None)
@@ -171,9 +170,8 @@ def test_verify_strong_large_modulus_matches_brute_force(design):
     # x -> c*x embeds Z_o in Z_(c*o) and keeps every zero sum, so the
     # strong embedding stays strong with residues near 2^60 (uint64 path)
     emb = symmetric_strong_embedding(design)
-    c = 2 ** 60 // emb.group.m
-    big = Embedding(AbelianGroup(c * emb.group.m, emb.group.t),
-                    [[c * x for x in row] for row in emb.image.tolist()], "scaled")
+    c = 2 ** 60 // emb.m
+    big = Embedding(c * emb.m, [[c * x for x in row] for row in emb.image.tolist()], "scaled")
     report = verify_strong(design, big)
     assert report.strong == "pass" and report.zero_sum_subsets == design.v
     assert report.to_dict() == reference_verify_strong(design, big).to_dict()
@@ -186,7 +184,7 @@ def test_verify_strong_chunking_matches_brute_force(chunk, monkeypatch):
     ds = validate_difference_set(13, [0, 1, 3, 9])
     design = develop(ds)
     emb = cyclic_embedding(ds, 3, poly=[1, 2, 0, 1])
-    folded = Embedding(AbelianGroup(3, 1), [(sum(row),) for row in emb.image.tolist()], "folded")
+    folded = Embedding(3, [(sum(row),) for row in emb.image.tolist()], "folded")
     monkeypatch.setattr(chunks, "BUDGET", chunk)
     for e in (emb, folded):
         expected = reference_verify_strong(design, e)
@@ -207,7 +205,7 @@ def test_verify_strong_pg431_near_default_cap():
     [()],
 ], ids=["k3", "k2", "k1", "k0"])
 def test_verify_strong_unvalidated_design_matches_brute_force(blocks):
-    emb = Embedding(AbelianGroup(2, 2), [(i % 2, i // 4) for i in range(7)], "random")
+    emb = Embedding(2, [(i % 2, i // 4) for i in range(7)], "random")
     design = Design(7, blocks)
     expected = reference_verify_strong(design, emb)
     assert verify_strong(design, emb).to_dict() == expected.to_dict()
@@ -232,7 +230,7 @@ def test_verify_strong_with_repeated_blocks(change, strong):
 
 def test_verify_strong_without_blocks_fails():
     # the empty 0-subset is zero-sum and is no block
-    emb = Embedding(AbelianGroup(2, 2), [(i % 2, i // 4) for i in range(7)], "random")
+    emb = Embedding(2, [(i % 2, i // 4) for i in range(7)], "random")
     report = verify_strong(Design(7, []), emb)
     assert (report.strong, report.zero_sum_subsets, report.blocks) == ("fail", 1, 0)
 
@@ -246,7 +244,7 @@ def test_verify_strong_modulus_2_62_matches_brute_force(t):
     values = [1, 2, 3, m - 3, m - 4, m - 5, m - 1]
     image = [(x,) + (m - x,) * (t - 1) for x in values]
     design = geometry.pg_design(2, 2, 1)
-    emb = Embedding(AbelianGroup(m, t), image, "random")
+    emb = Embedding(m, image, "random")
     expected = reference_verify_strong(design, emb)
     assert expected.zero_sum_subsets == 3  # {1, 2, -3}, {1, 3, -4}, {2, 3, -5}
     assert verify_strong(design, emb).to_dict() == expected.to_dict()
@@ -260,13 +258,13 @@ def test_verify_strong_pg251_symmetric_golden():
 
 def test_verify_strong_pg251_cyclic_subspace_golden():
     design = geometry.pg_design_cyclic(2, 5, 1)
-    report = verify_strong(design, subspace_embedding(3, 5, design))
+    report = verify_strong(design, subspace_embedding(5, design))
     assert report.additive
     assert report.strong == "fail" and report.zero_sum_subsets == 5952
 
 
 def test_non_injective_construction_raises():
-    emb = Embedding(AbelianGroup(2, 1), [(0,), (1,), (1,)], "test")
+    emb = Embedding(2, [(0,), (1,), (1,)], "test")
     with pytest.raises(GroupMismatch):
         _injective(emb)
 
@@ -274,7 +272,7 @@ def test_non_injective_construction_raises():
 def _zero_sum_sets_by_split(design, emb):
     k = design.blocks.shape[1]
     for a in range(k // 2 + 1):
-        sets = [tuple(row) for chunk in _zero_sum_sets(emb.image, emb.group.m, k, a, {})
+        sets = [tuple(row) for chunk in _zero_sum_sets(emb.image, emb.m, k, a, {})
                 for row in chunk.tolist()]
         yield a, sets
 
@@ -283,7 +281,7 @@ def _zero_sum_sets_by_split(design, emb):
 @given(design_and_embedding())
 def test_every_split_finds_the_zero_sum_sets_once(case):
     design, emb = case
-    expected = sorted(reference_zero_sum_subsets(emb.image, emb.group.m, design.k))
+    expected = sorted(reference_zero_sum_subsets(emb.image, emb.m, design.k))
     for a, sets in _zero_sum_sets_by_split(design, emb):
         assert sorted(sets) == expected, a
 
@@ -331,7 +329,7 @@ def test_verify_strong_of_a_projected_group_matches_the_reference(caplog):
     # 5^28 > 2^64: the keys of Z_5^31 are projected to s = 27 coordinates
     design = geometry.pg_design(2, 5, 1)
     emb = symmetric_strong_embedding(design)
-    assert (emb.group.m, emb.group.t) == (5, 31) and additivity._key_coordinates(5, 31) == 27
+    assert (emb.m, emb.t) == (5, 31) and additivity._key_coordinates(5, 31) == 27
     with caplog.at_level(logging.DEBUG, logger="addesigns"):
         report = verify_strong(design, emb)
     assert _strong_log(caplog)["false_positives"] == 0
@@ -358,12 +356,12 @@ def test_split_keeps_at_most_strong_keep_subsets(monkeypatch):
     design = develop(validate_difference_set(13, [0, 1, 3, 9]))
     emb = symmetric_strong_embedding(design)
     monkeypatch.setattr(additivity, "_STRONG_KEEP", 1)
-    assert _strong_split(13, 4, emb.group.m, emb.group.t)[1] == 0
+    assert _strong_split(13, 4, emb.m, emb.t)[1] == 0
     assert verify_strong(design, emb).to_dict() == reference_verify_strong(design, emb).to_dict()
 
 
 def test_work_beyond_64_bits_is_too_large():
     design = Design(200, [list(range(100))])
-    emb = Embedding(AbelianGroup(2, 1), [(i % 2,) for i in range(200)], "random")
+    emb = Embedding(2, [(i % 2,) for i in range(200)], "random")
     with pytest.raises(TooLarge):
         verify_strong(design, emb, cap=10 ** 80)
