@@ -227,7 +227,8 @@ def sigma_product_is_zero(ds, p):
     so the product vanishes in GF(p^t) iff its reduction mod x^v - 1 has
     all coefficients congruent mod p.
     """
-    return len(np.unique(difference_counts(ds.v, ds.elems) % p)) == 1
+    counts = difference_counts(ds.v, ds.elems) % p
+    return bool((counts == counts[0]).all())
 
 
 def subspace_embedding(q, design, poly=None):

@@ -247,7 +247,7 @@ def build_parser():
                    lambda a: _set_or_development(designs.singer_diffset(a.n, a.q, a.poly), a),
                    "n", "q")
     dev = _leaf(kinds, "dev", "the development of a difference set of Z_v",
-                lambda a: _set_or_development(designs.validate_difference_set(a.v, a.set), a),
+                lambda a: _set_or_development(designs.DifferenceSet(a.v, a.set), a),
                 "v")
     dev.add_argument("--set", type=_parse_ints, required=True,
                      help="comma-separated difference-set elements")

@@ -1,5 +1,6 @@
 """Incidence structures with validated 2-design parameters, difference
-sets and their developments, and the Paley and Singer constructions.
+sets certified by their constructor, their developments, which take the
+parameters of that certificate, and the Paley and Singer constructions.
 
 A design's blocks are a (b x k) integer array of point indices with
 sorted rows, so the structures here are agnostic of whatever geometry
@@ -215,11 +216,35 @@ def validate_2design(design):
 
 
 class DifferenceSet:
-    """A k-subset of Z_v with certified lambda-fold difference coverage."""
+    """A (v, k, lam) difference set of Z_v, certified by its constructor.
 
-    def __init__(self, v, elems, lam):
+    The elements are reduced mod v and must be distinct, with 2 <= k < v
+    and v - 1 dividing k(k - 1); then one difference_counts product must
+    cover every nonzero residue lam = k(k - 1)/(v - 1) times.
+    """
+
+    def __init__(self, v, elems):
+        if v < 2:
+            raise NotDifferenceSet("need v >= 2")
+        D = sorted(x % v for x in elems)
+        if len(set(D)) != len(D):
+            raise NotDifferenceSet("repeated elements")
+        k = len(D)
+        if not 2 <= k < v:
+            raise NotDifferenceSet("need 2 <= |D| < v")
+        if k * (k - 1) % (v - 1) != 0:
+            raise NotDifferenceSet("k(k-1) = %d not divisible by v-1 = %d" % (k * (k - 1), v - 1))
+        lam = k * (k - 1) // (v - 1)
+        counts = difference_counts(v, D)
+        counts[0] = lam  # drop the k self-differences
+        deviant = np.nonzero(counts != lam)[0]
+        if deviant.size:
+            i = int(deviant[0])
+            raise NotDifferenceSet(
+                "residue %d covered %d times, expected %d" % (i, int(counts[i]), lam)
+            )
         self.v = v
-        self.elems = tuple(sorted(elems))
+        self.elems = tuple(D)
         self.lam = lam
 
     @property
@@ -237,7 +262,7 @@ class DifferenceSet:
             raise MalformedDocument("a difference-set document needs v >= 2")
         elems = document_field(d, "set", list)
         integer_rows("set", [elems], shape="a list of integers")
-        return validate_difference_set(v, elems)
+        return cls(v, elems)
 
     def __repr__(self):
         return "DifferenceSet(%d, %d, %d)" % (self.v, self.k, self.lam)
@@ -284,37 +309,12 @@ def difference_counts(v, elems):
     return counts
 
 
-def validate_difference_set(v, elems):
-    """Certify that elems is a (v, k, lam) difference set in Z_v."""
-    if v < 2:
-        raise NotDifferenceSet("need v >= 2")
-    D = sorted(x % v for x in elems)
-    if len(set(D)) != len(D):
-        raise NotDifferenceSet("repeated elements")
-    k = len(D)
-    if not 2 <= k < v:
-        raise NotDifferenceSet("need 2 <= |D| < v")
-    if k * (k - 1) % (v - 1) != 0:
-        raise NotDifferenceSet("k(k-1) = %d not divisible by v-1 = %d" % (k * (k - 1), v - 1))
-    lam = k * (k - 1) // (v - 1)
-    counts = difference_counts(v, D)
-    counts[0] = lam  # drop the k self-differences
-    deviant = np.nonzero(counts != lam)[0]
-    if deviant.size:
-        i = int(deviant[0])
-        raise NotDifferenceSet(
-            "residue %d covered %d times, expected %d" % (i, int(counts[i]), lam)
-        )
-    return DifferenceSet(v, D, lam)
-
-
 def develop(ds):
     """The symmetric design (Z_v, {D+i : 0 <= i < v}) of a difference set.
 
     The development of a (v, k, lam) difference set is a symmetric
-    2-(v, k, lam) design, so its parameters are those of the certificate of
-    ds.elems, taken again here (one difference_counts product, O(v) words),
-    and no pair of its blocks is counted.
+    2-(v, k, lam) design, so its parameters are those that the constructor
+    of ds certified, and no pair of its blocks is counted.
     """
     # the blocks are the one array of a block's size: filled, and checked
     # by the design, a chunk of rows at a time (tracemalloc peak of the
@@ -322,10 +322,9 @@ def develop(ds):
     points = _point_dtype(ds.v)
     chunks.refuse_beyond_memory("the development of %r" % ds, ds.v, "blocks",
                                 ds.k * points.itemsize)
-    certified = validate_difference_set(ds.v, ds.elems)
     blocks = np.empty((ds.v, ds.k), points)
     sums = np.min_scalar_type(2 * ds.v - 2)  # d + i, 0 <= d, i < v
-    elems = np.array(certified.elems, sums)
+    elems = np.array(ds.elems, sums)
     step = chunks.rows_per_chunk(2 * ds.k * sums.itemsize)  # the sums and the sums - v
     for lo in range(0, ds.v, step):
         total = np.add.outer(np.arange(lo, min(ds.v, lo + step), dtype=sums), elems)
@@ -333,8 +332,8 @@ def develop(ds):
         np.minimum(total, total - ds.v, out=blocks[lo:lo + step])
     design = Design.__new__(Design)
     design._take(ds.v, blocks)
-    design.k = design.r = certified.k
-    design.lam = certified.lam
+    design.k = design.r = ds.k
+    design.lam = ds.lam
     design.b = ds.v
     design.symmetric = True
     return design
@@ -342,13 +341,15 @@ def develop(ds):
 
 def paley_diffset(v):
     """Nonzero quadratic residues mod a prime v = 3 (mod 4)."""
-    # the set of squares and its certification take about 100 bytes per
-    # residue (tracemalloc peak of paley_diffset(1000003): 90 MB)
+    # the squares and their certification take about 100 bytes per residue
+    # (tracemalloc peak of paley_diffset(1000003): 90.2 MB, in the constructor)
     chunks.refuse_beyond_memory("Paley(%d)" % v, v, "residues", 100)
     if not gf.is_prime(v) or v % 4 != 3:
         raise BadModulus("%d is not a prime congruent to 3 mod 4" % v)
-    squares = sorted({(i * i) % v for i in range(1, v)})
-    ds = validate_difference_set(v, squares)
+    # i^2 = j^2 forces i = +-j, so the i^2 for 0 < i <= (v - 1)/2 are the
+    # nonzero squares, each once; int64 holds them for v < 6e9, which the
+    # refusal above admits only beyond 600 GB of memory
+    ds = DifferenceSet(v, (np.arange(1, (v + 1) // 2, dtype=np.int64) ** 2 % v).tolist())
     if ds.lam != (v - 3) // 4:
         raise NotDifferenceSet(
             "Paley set mod %d has lambda %d, expected %d" % (v, ds.lam, (v - 3) // 4)
@@ -367,7 +368,7 @@ def singer_diffset(n, q, poly=None):
         raise BadModulus("Singer construction needs n >= 2")
     field = gf.make_field(q, n + 1, poly)
     v = (q ** (n + 1) - 1) // (q - 1)
-    ds = validate_difference_set(v, _zero_trace_exponents(field, q, n + 1))
+    ds = DifferenceSet(v, _zero_trace_exponents(field, q, n + 1))
     expected = ((q ** n - 1) // (q - 1), (q ** (n - 1) - 1) // (q - 1))
     if (ds.k, ds.lam) != expected:
         raise NotDifferenceSet(

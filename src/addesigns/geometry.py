@@ -11,7 +11,6 @@ the field they compute in and in how they label points.
 """
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,11 +49,6 @@ def gaussian(n, k, q):
     if num % den != 0:
         raise InvariantViolated("Gaussian binomial [%d %d]_%d is not an integer" % (n, k, q))
     return num // den
-
-
-@lru_cache(maxsize=None)
-def _field(q):
-    return gf.make_field(q, 1)
 
 
 def _tables(field, elem):
@@ -162,7 +156,7 @@ def subspace_blocks(n, q, d, tables=None, labels=None):
     """
     bases = enumerate_subspaces(n, q, d)
     if tables is None:
-        tables = _tables(_field(q), range(q))
+        tables = _tables(gf.make_field(q, 1), range(q))
     v = bracket(n + 1, q)
     point_of = np.zeros(q ** (n + 1), dtype=np.min_scalar_type(v - 1))
     point_of[_point_codes(n + 1, q)] = np.arange(v) if labels is None else labels
@@ -210,7 +204,7 @@ def ag_design(n, q, d):
     chunks.refuse_beyond_memory("AG_%d(%d,%d)" % (d, n, q), q ** (n - d) * gaussian(n, d, q),
                                 "blocks", (d + 1) * (n + 1) + 8 * q ** d)
     labels = _labels(ag_points(n, q))
-    tables = _tables(_field(q), range(q))
+    tables = _tables(gf.make_field(q, 1), range(q))
     affine = gf.digits(np.arange(q ** d, 2 * q ** d), d + 1, q)  # coefficients (1, c)
     point_of = np.arange(-q ** n, q ** n)  # (1, x) has code q^n + code of x
     blocks = []

@@ -21,7 +21,7 @@ from addesigns.additivity import (
     verify_embedding,
     verify_strong,
 )
-from addesigns.designs import develop, paley_diffset, singer_diffset, validate_difference_set
+from addesigns.designs import DifferenceSet, develop, paley_diffset, singer_diffset
 
 
 def report_line(num, title):
@@ -61,7 +61,7 @@ PLANE3_BLOCKS = [{tup(s) for s in blk} for blk in PLANE3_BLOCKS]
 @report_line(1, "plane of order 3, cyclic golden")
 def test_criterion_1_plane3_cyclic_golden():
     start = time.perf_counter()
-    ds = validate_difference_set(13, [0, 1, 3, 9])
+    ds = DifferenceSet(13, [0, 1, 3, 9])
     emb = cyclic_embedding(ds, 3, poly=[1, 2, 0, 1])
     assert tuple(emb.meta["sigma_1"]) == (0, 0, 2)
     assert tuple(emb.meta["sigma_-1"]) == (0, 0, 0)
@@ -104,7 +104,7 @@ def test_criterion_3_symmetric_strong():
     start = time.perf_counter()
     cases = [
         (geometry.pg_design(2, 2, 1), 35),
-        (develop(validate_difference_set(13, [0, 1, 3, 9])), 715),
+        (develop(DifferenceSet(13, [0, 1, 3, 9])), 715),
         (geometry.pg_design(3, 2, 2), 6435),
     ]
     for design, n_subsets in cases:

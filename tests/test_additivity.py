@@ -25,7 +25,6 @@ from addesigns.designs import (
     develop,
     paley_diffset,
     singer_diffset,
-    validate_difference_set,
 )
 from addesigns.errors import (
     BadPrime,
@@ -93,7 +92,7 @@ def test_symmetric_strong_fano():
 
 
 def test_symmetric_strong_singer_13():
-    d = develop(validate_difference_set(13, [0, 1, 3, 9]))
+    d = develop(DifferenceSet(13, [0, 1, 3, 9]))
     emb = symmetric_strong_embedding(d)
     assert (emb.m, emb.t) == (3, 13)
     report = verify_strong(d, emb)
@@ -124,7 +123,7 @@ def test_symmetric_strong_rejects_degenerate():
 
 
 def test_cyclic_embedding_plane3_golden():
-    ds = validate_difference_set(13, [0, 1, 3, 9])
+    ds = DifferenceSet(13, [0, 1, 3, 9])
     emb = cyclic_embedding(ds, 3, poly=[1, 2, 0, 1])
     assert (emb.m, emb.t) == (3, 3)
     assert tuple(emb.meta["sigma_1"]) == (0, 0, 2)
@@ -142,7 +141,7 @@ def test_cyclic_embedding_plane3_golden():
 
 
 def test_cyclic_embedding_mersenne_7():
-    ds = validate_difference_set(7, [0, 1, 3])
+    ds = DifferenceSet(7, [0, 1, 3])
     emb = cyclic_embedding(ds, 2)
     assert (emb.m, emb.t) == (2, 3)
     report = verify_embedding(develop(ds), emb)
@@ -151,10 +150,10 @@ def test_cyclic_embedding_mersenne_7():
 
 
 def test_cyclic_embedding_bad_prime():
-    ds = validate_difference_set(13, [0, 1, 3, 9])
+    ds = DifferenceSet(13, [0, 1, 3, 9])
     with pytest.raises(BadPrime):
         cyclic_embedding(ds, 2)  # 2 does not divide k - lambda = 3
-    ds7 = validate_difference_set(7, [0, 1, 3])
+    ds7 = DifferenceSet(7, [0, 1, 3])
     with pytest.raises(BadPrime):
         cyclic_embedding(ds7, 7)  # divides v
 
@@ -233,7 +232,7 @@ def test_verify_embedding_detects_perturbation():
 
 
 def test_verify_strong_smooth_witness_plane3():
-    ds = validate_difference_set(13, [0, 1, 3, 9])
+    ds = DifferenceSet(13, [0, 1, 3, 9])
     design = develop(ds)
     emb = cyclic_embedding(ds, 3, poly=[1, 2, 0, 1])
     report = verify_strong(design, emb)
@@ -299,7 +298,7 @@ def test_sigma_product_all_singer_and_paley_up_to_100():
 
 def test_sigma_product_matches_field_computation_small():
     # cross-check the symbolic sigma-product against the actual field
-    for ds, p in [(validate_difference_set(13, [0, 1, 3, 9]), 3),
+    for ds, p in [(DifferenceSet(13, [0, 1, 3, 9]), 3),
                   (paley_diffset(7), 2), (paley_diffset(31), 2)]:
         t = gf.mult_order(p, ds.v)
         field = gf.make_field(p, t)
@@ -338,7 +337,7 @@ def test_ag_identity_embedding_prime_power_q():
 
 
 def test_embedding_json_roundtrip():
-    ds = validate_difference_set(7, [0, 1, 3])
+    ds = DifferenceSet(7, [0, 1, 3])
     emb = cyclic_embedding(ds, 2)
     doc = emb.to_dict()
     assert doc["image"] is emb.image  # the array itself, not a list
@@ -470,9 +469,12 @@ def test_injective_compares_whole_rows():
 
 
 def test_cyclic_embedding_without_vanishing_sigma_is_typed():
-    # {0, 1} in Z_7 is no difference set: 1 + g and 1 + g^-1 are both nonzero
+    # the constructor refuses {0, 1} in Z_7, so it is put on a certified set:
+    # 1 + g and 1 + g^-1 are both nonzero, and k - lambda = 2 - 0
+    ds = DifferenceSet(7, [1, 2, 4])
+    ds.elems, ds.lam = (0, 1), 0
     with pytest.raises(InvariantViolated, match="neither sigma"):
-        cyclic_embedding(DifferenceSet(7, [0, 1], 0), 2)
+        cyclic_embedding(ds, 2)
 
 
 def reference_sigma_product_is_zero(ds, p):
@@ -526,7 +528,7 @@ def reference_verify_embedding(design, emb):
 
 def _additive_cases():
     fano = geometry.pg_design(2, 2, 1)
-    plane3 = validate_difference_set(13, [0, 1, 3, 9])
+    plane3 = DifferenceSet(13, [0, 1, 3, 9])
     return [
         (fano, symmetric_strong_embedding(fano)),
         (develop(plane3), cyclic_embedding(plane3, 3, poly=[1, 2, 0, 1])),

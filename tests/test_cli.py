@@ -437,6 +437,20 @@ def test_no_verb_loads_the_optional_numpy_submodules(loaded_by_every_verb):
     assert loaded_by_every_verb == []
 
 
+def test_sigma_product_is_zero_leaves_numpy_ma_unloaded():
+    # np.unique would import numpy.ma, numpy.ma.core and numpy.ma.extras
+    script = """
+import sys
+from addesigns import additivity, designs
+assert additivity.sigma_product_is_zero(designs.DifferenceSet(13, [0, 1, 3, 9]), 3)
+assert not additivity.sigma_product_is_zero(designs.DifferenceSet(13, [0, 1, 3, 9]), 2)
+print("numpy.ma" in sys.modules)
+"""
+    done = python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_logging_imported_after_the_package_gets_both_debug_records():
     script = """
 from addesigns import additivity, geometry
@@ -598,7 +612,7 @@ def design_documents(draw):
     if draw(st.booleans()):
         v, elems = draw(st.sampled_from([(7, [0, 1, 3]), (11, [1, 3, 4, 5, 9]),
                                          (13, [0, 1, 3, 9])]))
-        return designs.develop(designs.validate_difference_set(v, elems))
+        return designs.develop(designs.DifferenceSet(v, elems))
     v = draw(st.integers(1, 9))
     k, b = draw(st.integers(0, v)), draw(st.integers(0, 6))
     blocks = [draw(st.permutations(range(v)))[:k] for _ in range(b)]
@@ -625,7 +639,7 @@ def reports():
 
 def difference_sets():
     sets = [(7, [0, 1, 3]), (13, [0, 1, 3, 9]), (21, [3, 6, 7, 12, 14])]
-    return st.sampled_from(sets).map(lambda s: designs.validate_difference_set(*s))
+    return st.sampled_from(sets).map(lambda s: designs.DifferenceSet(*s))
 
 
 @settings(max_examples=60, deadline=None,

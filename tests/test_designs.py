@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
-from addesigns import chunks, designs, geometry, gf
+from addesigns import chunks, cli, designs, geometry, gf
 from addesigns.designs import (
     Design,
+    DifferenceSet,
     develop,
     paley_diffset,
     singer_diffset,
     validate_2design,
-    validate_difference_set,
 )
 from addesigns.errors import (
     BadModulus,
@@ -118,7 +118,7 @@ def test_validate_rejects_empty():
 
 
 def test_difference_set_singer_13():
-    ds = validate_difference_set(13, [0, 1, 3, 9])
+    ds = DifferenceSet(13, [0, 1, 3, 9])
     assert ds.lam == 1 and ds.k == 4
 
 
@@ -128,13 +128,13 @@ def test_difference_set_quadratic_residues_7():
     for a, b in itertools.permutations([1, 2, 4], 2):
         census[(a - b) % 7] = census.get((a - b) % 7, 0) + 1
     assert census == {i: 1 for i in range(1, 7)}
-    ds = validate_difference_set(7, [1, 2, 4])
+    ds = DifferenceSet(7, [1, 2, 4])
     assert ds.lam == 1
 
 
 def test_difference_set_rejects_nonuniform():
     with pytest.raises(NotDifferenceSet) as exc:
-        validate_difference_set(7, [0, 1, 2])
+        DifferenceSet(7, [0, 1, 2])
     assert "residue 1" in str(exc.value)
 
 
@@ -204,7 +204,7 @@ def test_fft_difference_counts_are_checked():
 
 
 def test_develop_singer_13():
-    ds = validate_difference_set(13, [0, 1, 3, 9])
+    ds = DifferenceSet(13, [0, 1, 3, 9])
     d = develop(ds)
     assert (d.v, d.k, d.lam, d.b) == (13, 4, 1, 13)
     assert d.symmetric
@@ -239,11 +239,13 @@ def test_paley_small():
 
 def test_paley_size_and_certification_sample():
     # v = 3 is degenerate (k = 1, lambda = 0) and rejected upstream
-    primes = [v for v in range(7, 1000) if gf.is_prime(v) and v % 4 == 3]
-    for v in primes:
+    primes = [v for v in range(7, 2000) if gf.is_prime(v) and v % 4 == 3]
+    for v in primes + [100003]:
         ds = paley_diffset(v)
         assert ds.k == (v - 1) // 2
         assert ds.lam == (v - 3) // 4
+        # oracle: every nonzero residue squared
+        assert ds.elems == tuple(sorted({i * i % v for i in range(1, v)})), v
 
 
 def test_paley_certification_large_spot_checks():
@@ -287,14 +289,14 @@ def test_singer_with_paper_poly_gf27():
     [([0, 1, 3, 9], 13), ([1, 2, 4], 7), ([0, 4, 10, 12], 13), ([1, 3, 4, 5, 9], 11)],
 )
 def test_develop_always_symmetric(elems, v):
-    d = develop(validate_difference_set(v, elems))
+    d = develop(DifferenceSet(v, elems))
     assert d.b == d.v == v
 
 
 @pytest.mark.parametrize("v,elems", [(7, [1, 2, 4]), (13, [0, 1, 3, 9]), (11, [1, 3, 4, 5, 9])])
 def test_symmetric_block_intersection_axiom(v, elems):
     # any two distinct blocks of a symmetric design share exactly lambda points
-    d = develop(validate_difference_set(v, elems))
+    d = develop(DifferenceSet(v, elems))
     for a, b in itertools.combinations(d.blocks, 2):
         assert len(set(a) & set(b)) == d.lam
 
@@ -329,7 +331,7 @@ def test_design_from_dict_rejects_wrong_claims(key, value, drop):
 
 
 def test_diffset_json():
-    ds = validate_difference_set(13, [0, 1, 3, 9])
+    ds = DifferenceSet(13, [0, 1, 3, 9])
     assert ds.to_dict() == {"v": 13, "set": [0, 1, 3, 9]}
 
 
@@ -499,7 +501,7 @@ DEVELOPED = {
     "paley-19": lambda: paley_diffset(19),
     "paley-43": lambda: paley_diffset(43),
     "paley-263": lambda: paley_diffset(263),
-    "13-4-1": lambda: validate_difference_set(13, [0, 1, 3, 9]),
+    "13-4-1": lambda: DifferenceSet(13, [0, 1, 3, 9]),
 }
 
 
@@ -527,14 +529,28 @@ def test_develop_matches_counted_pairs_on_affine_images(name, data):
     t = data.draw(st.integers(1, ds.v - 1).filter(lambda t: np.gcd(t, ds.v) == 1), label="t")
     s = data.draw(st.integers(0, ds.v - 1), label="s")
     assert_develop_matches_counted_pairs(
-        validate_difference_set(ds.v, [(t * d + s) % ds.v for d in ds.elems]))
+        DifferenceSet(ds.v, [(t * d + s) % ds.v for d in ds.elems]))
 
 
-def test_develop_certifies_a_hand_built_set_again():
+def test_the_constructor_certifies_a_hand_built_set():
     with pytest.raises(NotDifferenceSet, match="residue 1 covered 3 times, expected 1"):
-        develop(designs.DifferenceSet(13, [0, 1, 2, 3], 1))
-    # a wrong lambda is not carried over: the certificate's is attached
-    assert develop(designs.DifferenceSet(13, [0, 1, 3, 9], 2)).lam == 1
+        DifferenceSet(13, [0, 1, 2, 3])
+    # lambda is the certificate's, never the caller's
+    with pytest.raises(TypeError):
+        DifferenceSet(13, [0, 1, 3, 9], 1)
+    assert DifferenceSet(13, [0, 1, 3, 9]).lam == 1
+
+
+def test_develop_and_gen_paley_count_differences_once(capsys):
+    # the constructor's certificate is the one count; develop trusts it
+    with mock.patch.object(designs, "difference_counts",
+                           wraps=designs.difference_counts) as counted:
+        develop(paley_diffset(43))
+        assert counted.call_count == 1
+        counted.reset_mock()
+        assert cli.main(["gen", "paley", "--v", "43"]) == 0
+        assert counted.call_count == 1
+    assert json.loads(capsys.readouterr().out)["lambda"] == 10
 
 
 def test_develop_counts_no_pairs():
@@ -584,18 +600,17 @@ def test_singer_cases_reach_the_cap():
 
 
 def test_paley_lambda_mismatch_is_typed(monkeypatch):
-    monkeypatch.setattr(
-        designs, "validate_difference_set",
-        lambda v, elems: designs.DifferenceSet(v, elems, 99),
-    )
-    with pytest.raises(NotDifferenceSet, match="expected 1"):
+    # the complement of the squares mod 7 is a certified (7, 4, 2) set
+    monkeypatch.setattr(designs, "DifferenceSet", lambda v, elems: DifferenceSet(
+        v, sorted(set(range(v)) - set(elems))))
+    with pytest.raises(NotDifferenceSet, match="has lambda 2, expected 1"):
         paley_diffset(7)
 
 
 def test_singer_parameter_mismatch_is_typed(monkeypatch):
-    monkeypatch.setattr(
-        designs, "validate_difference_set",
-        lambda v, elems: designs.DifferenceSet(v, elems[:-1], 0),
-    )
-    with pytest.raises(NotDifferenceSet, match=r"expected \(4, 1\)"):
+    # the complement of the line of PG(2,3) is a certified (13, 9, 6) set
+    exponents = designs._zero_trace_exponents
+    monkeypatch.setattr(designs, "_zero_trace_exponents", lambda field, q, degree: sorted(
+        set(range(13)) - set(exponents(field, q, degree))))
+    with pytest.raises(NotDifferenceSet, match=r"\(9, 6\), expected \(4, 1\)"):
         singer_diffset(2, 3)

@@ -26,7 +26,7 @@ from addesigns.additivity import (
     verify_embedding,
     verify_strong,
 )
-from addesigns.designs import Design, develop, validate_difference_set
+from addesigns.designs import Design, DifferenceSet, develop
 from addesigns.errors import GroupMismatch, TooLarge
 
 
@@ -139,7 +139,7 @@ def lookup_verify_strong(design, emb):
 
 DESIGNS = [
     geometry.pg_design(2, 2, 1),  # Fano plane
-    develop(validate_difference_set(13, [0, 1, 3, 9])),  # (13,4,1) plane
+    develop(DifferenceSet(13, [0, 1, 3, 9])),  # (13,4,1) plane
     geometry.pg_design(3, 2, 1),
     geometry.pg_design(3, 2, 2),
     geometry.ag_design(2, 3, 1),
@@ -181,7 +181,7 @@ def test_verify_strong_large_modulus_matches_brute_force(design):
 def test_verify_strong_chunking_matches_brute_force(chunk, monkeypatch):
     # the cyclic embedding of the plane of order 3 has zero-sum sets
     # beyond the blocks, and folding it into Z_3^1 makes rows repeat
-    ds = validate_difference_set(13, [0, 1, 3, 9])
+    ds = DifferenceSet(13, [0, 1, 3, 9])
     design = develop(ds)
     emb = cyclic_embedding(ds, 3, poly=[1, 2, 0, 1])
     folded = Embedding(3, [(sum(row),) for row in emb.image.tolist()], "folded")
@@ -299,7 +299,7 @@ def test_forced_key_collisions_are_caught_by_the_exact_check(case, monkeypatch, 
         design = DESIGNS[0]
         emb = symmetric_strong_embedding(design)
     else:
-        ds = validate_difference_set(13, [0, 1, 3, 9])
+        ds = DifferenceSet(13, [0, 1, 3, 9])
         design = develop(ds)
         emb = cyclic_embedding(ds, 3, poly=[1, 2, 0, 1])
     expected = reference_verify_strong(design, emb).to_dict()
@@ -314,8 +314,9 @@ def test_forced_key_collisions_are_caught_by_the_exact_check(case, monkeypatch, 
 
 def test_verify_strong_logs_one_debug_line(caplog):
     design = geometry.pg_design(3, 3, 1)
+    emb = pg_strong_embedding(3, 3, 1)  # outside: its make_field logs a line of its own
     with caplog.at_level(logging.DEBUG, logger="addesigns"):
-        report = verify_strong(design, pg_strong_embedding(3, 3, 1))
+        report = verify_strong(design, emb)
     msg = [r.getMessage() for r in caplog.records]
     assert len(msg) == 1 and msg[0].startswith("verify_strong v=40 k=4 split=2 estimate=1406 ")
     stats = _strong_log(caplog)
@@ -353,7 +354,7 @@ def test_cap_bounds_the_estimated_work():
 
 def test_split_keeps_at_most_strong_keep_subsets(monkeypatch):
     # with room for one kept subset only the split a = 0 remains
-    design = develop(validate_difference_set(13, [0, 1, 3, 9]))
+    design = develop(DifferenceSet(13, [0, 1, 3, 9]))
     emb = symmetric_strong_embedding(design)
     monkeypatch.setattr(additivity, "_STRONG_KEEP", 1)
     assert _strong_split(13, 4, emb.m, emb.t)[1] == 0
